@@ -29,7 +29,9 @@ use evofd_persist::{DurableRelation, PersistOptions, SyncPolicy};
 use evofd_storage::Relation;
 
 fn bench_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("evofd_bench_durability").join(name);
+    let dir = std::env::temp_dir()
+        .join(format!("evofd_bench_durability_{}", std::process::id()))
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

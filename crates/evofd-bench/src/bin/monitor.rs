@@ -47,7 +47,9 @@ fn main() {
         "one seeded stream with a single planted violation; gates on provenance",
     );
 
-    let dir = std::env::temp_dir().join("evofd_bench_monitor").join(format!("run_{seed}"));
+    let dir = std::env::temp_dir()
+        .join(format!("evofd_bench_monitor_{}", std::process::id()))
+        .join(format!("run_{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
     let mut engine = DurableEngine::open(&dir, PersistOptions::default()).expect("open");
     engine

@@ -54,7 +54,8 @@ fn run_delta_apply(base: &Relation, stream: &[Delta]) -> (f64, Vec<Measures>) {
 /// Journal the stream through a zero-FD durable table at no-sync; return
 /// the elapsed seconds (pure WAL append, never a snapshot or fsync).
 fn run_wal_stream(base: &Relation, stream: &[Delta]) -> f64 {
-    let dir = std::env::temp_dir().join("evofd_bench_obs").join("wal");
+    let dir =
+        std::env::temp_dir().join(format!("evofd_bench_obs_{}", std::process::id())).join("wal");
     let _ = std::fs::remove_dir_all(&dir);
     let opts = PersistOptions {
         sync: SyncPolicy::NoSync,

@@ -26,7 +26,9 @@ use evofd_persist::{Database, DirTransport, PersistOptions, ReplicaState, SyncPo
 use evofd_storage::Relation;
 
 fn bench_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("evofd_bench_replication").join(name);
+    let dir = std::env::temp_dir()
+        .join(format!("evofd_bench_replication_{}", std::process::id()))
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

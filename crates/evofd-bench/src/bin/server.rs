@@ -27,7 +27,7 @@ use evofd_server::{Client, EvofdServer, ServerOptions};
 use evofd_storage::relation_of_strs;
 
 fn bench_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("evofd_bench_server");
+    let dir = std::env::temp_dir().join(format!("evofd_bench_server_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

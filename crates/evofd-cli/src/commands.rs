@@ -1681,8 +1681,18 @@ mod tests {
         Cli::parse(s.split_whitespace().map(String::from))
     }
 
-    fn places_csv() -> String {
-        let dir = std::env::temp_dir().join("evofd_cli_tests");
+    /// A path unique to `tag` and this process, cleared of any leftover:
+    /// tests never share a fixture, within one run or across concurrent
+    /// runs.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("evofd_cli_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The paper's Places table as a CSV in a directory of its own.
+    fn places_csv(tag: &str) -> String {
+        let dir = scratch(&format!("{tag}_places"));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("places.csv");
         write_csv_path(&dg::places(), &path).unwrap();
@@ -1696,7 +1706,7 @@ mod tests {
 
     #[test]
     fn validate_and_repair_run_on_places_csv() {
-        let csv = places_csv();
+        let csv = places_csv("validate_and_repair_run_on_places_csv");
         let c = cli(&format!("validate --csv {csv} --fd District,Region->AreaCode"));
         cmd_validate(&c).unwrap();
         let c = cli(&format!("repair --csv {csv} --fd District,Region->AreaCode --all"));
@@ -1705,7 +1715,7 @@ mod tests {
 
     #[test]
     fn advise_auto_mode() {
-        let csv = places_csv();
+        let csv = places_csv("advise_auto_mode");
         let c = cli(&format!("advise --csv {csv} --fd District->PhNo --auto"));
         let mut empty = std::io::Cursor::new(Vec::<u8>::new());
         cmd_advise(&c, &mut empty).unwrap();
@@ -1713,7 +1723,7 @@ mod tests {
 
     #[test]
     fn advise_interactive_accept() {
-        let csv = places_csv();
+        let csv = places_csv("advise_interactive_accept");
         let c = cli(&format!("advise --csv {csv} --fd District->PhNo"));
         let mut input = std::io::Cursor::new(b"accept 1\n".to_vec());
         cmd_advise(&c, &mut input).unwrap();
@@ -1721,8 +1731,7 @@ mod tests {
 
     #[test]
     fn gen_and_sql_round_trip() {
-        let dir = std::env::temp_dir().join("evofd_cli_gen");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("gen");
         let c = cli(&format!("gen --dataset places --out {}", dir.display()));
         cmd_gen(&c).unwrap();
         let csv = dir.join("Places.csv");
@@ -1740,8 +1749,7 @@ mod tests {
     /// (one read-only, one writing) against one served engine.
     #[test]
     fn server_serves_two_concurrent_sql_sessions() {
-        let dir = std::env::temp_dir().join("evofd_cli_server");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("server");
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("pair.csv");
         std::fs::write(&csv, "X,Y\nx0,y0\nx1,y1\n").unwrap();
@@ -1789,7 +1797,7 @@ mod tests {
 
     #[test]
     fn keys_command() {
-        let csv = places_csv();
+        let csv = places_csv("keys_command");
         let c =
             cli(&format!("keys --csv {csv} --fd Zip->City,State --fd District,Region->AreaCode"));
         cmd_keys(&c).unwrap();
@@ -1799,7 +1807,7 @@ mod tests {
     fn missing_options_error() {
         assert!(cmd_validate(&cli("validate")).is_err());
         assert!(cmd_gen(&cli("gen --dataset nope --out /tmp/x")).is_err());
-        let csv = places_csv();
+        let csv = places_csv("missing_options_error");
         assert!(cmd_validate(&cli(&format!("validate --csv {csv}"))).is_err());
     }
 
@@ -1826,8 +1834,8 @@ mod tests {
 
     #[test]
     fn watch_replays_delta_stream() {
-        let csv = places_csv();
-        let dir = std::env::temp_dir().join("evofd_cli_watch");
+        let csv = places_csv("watch_replays_delta_stream");
+        let dir = scratch("watch");
         std::fs::create_dir_all(&dir).unwrap();
         let deltas = dir.join("deltas.csv");
         // Places columns: District,Region,Municipal,AreaCode,PhNo,Street,Zip,City,State.
@@ -1868,9 +1876,8 @@ mod tests {
 
     #[test]
     fn stats_command_renders_all_formats() {
-        let csv = places_csv();
-        let dir = std::env::temp_dir().join("evofd_cli_stats");
-        let _ = std::fs::remove_dir_all(&dir);
+        let csv = places_csv("stats_command_renders_all_formats");
+        let dir = scratch("stats");
         // Populate a durable dir so `stats --data-dir` has recovery work to
         // meter, then exercise every output format plus the bounded watch loop.
         let mut c = cli(&format!("sql --csv {csv} --data-dir {}", dir.display()));
@@ -1901,9 +1908,8 @@ mod tests {
 
     #[test]
     fn serve_metrics_and_history_commands_run_on_a_durable_dir() {
-        let csv = places_csv();
-        let dir = std::env::temp_dir().join("evofd_cli_serve_metrics");
-        let _ = std::fs::remove_dir_all(&dir);
+        let csv = places_csv("serve_metrics_and_history_commands_run_on_a_durable_dir");
+        let dir = scratch("serve_metrics");
         // Seed a durable table with a tracked FD and some drift so the
         // HISTORY file has frames and events to print.
         let mut c = cli(&format!("sql --csv {csv} --data-dir {}", dir.display()));
@@ -1939,9 +1945,8 @@ mod tests {
 
     #[test]
     fn sql_durable_round_trip_and_open() {
-        let csv = places_csv();
-        let dir = std::env::temp_dir().join("evofd_cli_durable_sql");
-        let _ = std::fs::remove_dir_all(&dir);
+        let csv = places_csv("sql_durable_round_trip_and_open");
+        let dir = scratch("durable_sql");
         // Import + mutate durably.
         let mut c = cli(&format!("sql --csv {csv} --data-dir {} --limit 5", dir.display()));
         c.options.push((
@@ -1976,10 +1981,9 @@ mod tests {
 
     #[test]
     fn watch_durable_resumes_mid_stream() {
-        let csv = places_csv();
-        let dir = std::env::temp_dir().join("evofd_cli_durable_watch");
-        let _ = std::fs::remove_dir_all(&dir);
-        let stream_dir = std::env::temp_dir().join("evofd_cli_durable_watch_streams");
+        let csv = places_csv("watch_durable_resumes_mid_stream");
+        let dir = scratch("durable_watch");
+        let stream_dir = scratch("durable_watch_streams");
         std::fs::create_dir_all(&stream_dir).unwrap();
         let row = "Collin,R1,Glendale,999,111-1111,Pine,60415,Chicago,IL";
         let row2 = "Denton,R2,Summit,888,222-2222,Oak,60601,Chicago,IL";
@@ -2035,8 +2039,8 @@ mod tests {
 
     #[test]
     fn watch_advise_prints_live_proposals() {
-        let csv = places_csv();
-        let dir = std::env::temp_dir().join("evofd_cli_watch_advise");
+        let csv = places_csv("watch_advise_prints_live_proposals");
+        let dir = scratch("watch_advise");
         std::fs::create_dir_all(&dir).unwrap();
         let deltas = dir.join("deltas.csv");
         // Break Municipal -> AreaCode, then repair it by the data again.
@@ -2049,8 +2053,7 @@ mod tests {
         cmd_watch(&c).unwrap();
 
         // The durable path materializes the table's advisor session too.
-        let data_dir = std::env::temp_dir().join("evofd_cli_watch_advise_durable");
-        let _ = std::fs::remove_dir_all(&data_dir);
+        let data_dir = scratch("watch_advise_durable");
         let c = cli(&format!(
             "watch --csv {csv} --deltas {} --fd Municipal->AreaCode --advise --data-dir {}",
             deltas.display(),
@@ -2068,8 +2071,8 @@ mod tests {
 
     #[test]
     fn watch_rejects_malformed_stream() {
-        let csv = places_csv();
-        let dir = std::env::temp_dir().join("evofd_cli_watch_bad");
+        let csv = places_csv("watch_rejects_malformed_stream");
+        let dir = scratch("watch_bad");
         std::fs::create_dir_all(&dir).unwrap();
         let deltas = dir.join("bad.csv");
         std::fs::write(&deltas, "?,a,b\n").unwrap();
@@ -2083,10 +2086,8 @@ mod tests {
 
     #[test]
     fn serve_follow_lag_and_replica_sql() {
-        let leader = std::env::temp_dir().join("evofd_cli_repl_leader");
-        let replica = std::env::temp_dir().join("evofd_cli_repl_replica");
-        let _ = std::fs::remove_dir_all(&leader);
-        let _ = std::fs::remove_dir_all(&replica);
+        let leader = scratch("repl_leader");
+        let replica = scratch("repl_replica");
 
         // Leader: three DML lines = three WAL frames to ship.
         let c = cli(&format!("serve --data-dir {}", leader.display()));
@@ -2147,7 +2148,7 @@ mod tests {
         c.options.push(("query".into(), "CHECK FD 'a -> b' ON t".into()));
         cmd_sql(&c).unwrap();
         // --replica refuses CSV imports (writes belong on the leader).
-        let csv = places_csv();
+        let csv = places_csv("serve_follow_lag_and_replica_sql");
         let mut c = cli(&format!("sql --data-dir {} --replica --csv {csv}", replica.display()));
         c.options.push(("query".into(), "SELECT COUNT(*) FROM t".into()));
         assert!(cmd_sql(&c).unwrap_err().contains("leader"));
@@ -2155,10 +2156,8 @@ mod tests {
 
     #[test]
     fn follow_resumes_mid_catch_up_and_serves_partial_reads() {
-        let leader = std::env::temp_dir().join("evofd_cli_repl_partial_leader");
-        let replica = std::env::temp_dir().join("evofd_cli_repl_partial_replica");
-        let _ = std::fs::remove_dir_all(&leader);
-        let _ = std::fs::remove_dir_all(&replica);
+        let leader = scratch("repl_partial_leader");
+        let replica = scratch("repl_partial_replica");
 
         let c = cli(&format!("serve --data-dir {}", leader.display()));
         let sql = "CREATE TABLE t (a INT);\n\
@@ -2214,7 +2213,7 @@ mod tests {
 
     #[test]
     fn violations_and_discover_and_cfd_run() {
-        let csv = places_csv();
+        let csv = places_csv("violations_and_discover_and_cfd_run");
         cmd_violations(&cli(&format!("violations --csv {csv} --fd Zip->City,State"))).unwrap();
         cmd_discover(&cli(&format!("discover --csv {csv} --max-lhs 2"))).unwrap();
         cmd_cfd(&cli(&format!("cfd --csv {csv} --fd Zip->City"))).unwrap();

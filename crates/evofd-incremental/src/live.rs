@@ -206,11 +206,17 @@ impl LiveRelation {
         reclaimed
     }
 
+    /// True iff the tombstone fraction exceeds the configured threshold —
+    /// the condition under which [`LiveRelation::maybe_compact`] compacts.
+    pub fn needs_compaction(&self) -> bool {
+        self.dead_fraction() > self.compact_threshold
+    }
+
     /// Compact iff the tombstone fraction exceeds the configured
     /// threshold. Returns the number of tombstones reclaimed (0 if no
     /// compaction ran).
     pub fn maybe_compact(&mut self) -> usize {
-        if self.dead_fraction() > self.compact_threshold {
+        if self.needs_compaction() {
             self.compact()
         } else {
             0

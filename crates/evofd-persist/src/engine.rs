@@ -483,7 +483,9 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("evofd_persist_engine_tests").join(name);
+        let dir = std::env::temp_dir()
+            .join(format!("evofd_persist_engine_tests_{}", std::process::id()))
+            .join(name);
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -47,7 +47,7 @@
 //! use evofd_persist::{Database, PersistOptions};
 //! use evofd_storage::{relation_of_strs, Value};
 //!
-//! let dir = std::env::temp_dir().join("evofd_persist_doc");
+//! let dir = std::env::temp_dir().join(format!("evofd_persist_doc_{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
 //!
 //! // Create a durable table with one FD under incremental validation.
@@ -82,6 +82,7 @@ pub mod monitor;
 pub mod replication;
 pub mod snapshot;
 pub mod store;
+mod table;
 pub mod wal;
 
 pub use alert::{AlertMetric, AlertOp, AlertRule, AlertRuntime, AlertState, AlertTransition};

@@ -130,7 +130,9 @@ mod tests {
     use super::*;
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("evofd_persist_lock_tests").join(name);
+        let dir = std::env::temp_dir()
+            .join(format!("evofd_persist_lock_tests_{}", std::process::id()))
+            .join(name);
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -186,7 +186,9 @@ mod tests {
     }
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("evofd_persist_monitor_tests").join(name);
+        let dir = std::env::temp_dir()
+            .join(format!("evofd_persist_monitor_tests_{}", std::process::id()))
+            .join(name);
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -53,7 +53,7 @@ use evofd_incremental::FdDrift;
 
 use crate::error::{io_err, PersistError, Result};
 use crate::lock::DirLock;
-use crate::snapshot::read_snapshot_position;
+use crate::snapshot::{decode_snapshot, read_snapshot_position, write_file_atomic};
 use crate::store::{Database, DurableRelation, PersistOptions, ReplicaIngest};
 use crate::wal::{scan_wal, WalRecord, WalWriter};
 use crate::{SNAPSHOT_FILE, WAL_FILE};
@@ -363,28 +363,22 @@ impl ReplicaState {
         opts: PersistOptions,
     ) -> Result<ReplicaState> {
         let lock = DirLock::acquire(dir)?;
-        // Validate before writing anything.
+        // Validate before writing anything; the decoded image becomes the
+        // table's state directly.
         let snap_path = dir.join(SNAPSHOT_FILE);
-        crate::snapshot::decode_snapshot(&snap_path, snapshot)?;
+        let image = decode_snapshot(&snap_path, snapshot)?;
         let history_path = dir.join(crate::HISTORY_FILE);
         if !history.is_empty() {
             crate::history::scan_history_bytes(&history_path, history)?;
         }
-        let tmp = snap_path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            file.write_all(snapshot).map_err(|e| io_err(&tmp, e))?;
-            file.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &snap_path).map_err(|e| io_err(&snap_path, e))?;
+        write_file_atomic(&snap_path, snapshot)?;
         if !history.is_empty() {
             // Written before the table opens so its history writer starts
             // positioned at the shipped tail.
-            std::fs::write(&history_path, history).map_err(|e| io_err(&history_path, e))?;
+            write_file_atomic(&history_path, history)?;
         }
         WalWriter::create(&dir.join(WAL_FILE), opts.sync)?;
-        let table = DurableRelation::open_with_lock(dir, opts, lock)?;
+        let table = DurableRelation::open_with_lock(dir, opts, lock, Some(image))?;
         Ok(ReplicaState { table })
     }
 
@@ -601,7 +595,9 @@ mod tests {
     use evofd_storage::{relation_of_strs, Value};
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("evofd_persist_replication_tests").join(name);
+        let dir = std::env::temp_dir()
+            .join(format!("evofd_persist_replication_tests_{}", std::process::id()))
+            .join(name);
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -30,8 +30,8 @@
 //! relations.
 //!
 //! Snapshots are written to a temp file, synced, then atomically renamed
-//! over the previous snapshot — a crash mid-write never destroys the old
-//! one.
+//! over the previous snapshot (`write_file_atomic`) — a crash mid-write
+//! never destroys the old one.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -226,9 +226,12 @@ pub fn decode_snapshot(path: &Path, bytes: &[u8]) -> Result<SnapshotState> {
     if !(1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(corrupt(path, format!("unsupported version {version}")));
     }
-    let body_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
+    let body_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let body = bytes.get(24..24 + body_len).ok_or_else(|| corrupt(path, "truncated body"))?;
+    let body = usize::try_from(body_len)
+        .ok()
+        .and_then(|len| bytes.get(24..24usize.checked_add(len)?))
+        .ok_or_else(|| corrupt(path, "truncated body"))?;
     if crc32(body) != crc {
         return Err(corrupt(path, "checksum mismatch"));
     }
@@ -256,7 +259,15 @@ pub fn decode_snapshot(path: &Path, bytes: &[u8]) -> Result<SnapshotState> {
         .into_shared();
 
     // Columns.
-    let row_count = d.u64("row count").map_err(fail)? as usize;
+    // Every row costs at least one liveness bit, so a count the rest of
+    // the body cannot hold is corrupt — checked before anything is sized
+    // from it (a zero-column schema reads no codes to bound it).
+    let row_count = d.u64("row count").map_err(fail)?;
+    let remaining = (body.len() - d.position()) as u64;
+    if row_count.div_ceil(8) > remaining {
+        return Err(corrupt(path, format!("row count {row_count} exceeds the body")));
+    }
+    let row_count = row_count as usize;
     let mut columns = Vec::with_capacity(schema.arity());
     for field in schema.fields() {
         let _col_len = d.u64("column length").map_err(fail)?;
@@ -417,20 +428,27 @@ pub fn write_snapshot(
 ) -> Result<()> {
     let bytes =
         encode_snapshot(live, validator, decisions, indexed_columns, alerts, last_seq, cursor);
+    write_file_atomic(path, &bytes)
+}
+
+/// Replace `path` with `bytes` atomically: temp file, `fsync`, rename
+/// over `path`, `fsync` the parent directory so the rename itself is
+/// durable. A crash at any point leaves either the old file or the new
+/// one, never a mix.
+pub(crate) fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+    use std::io::Write;
     let tmp = path.with_extension("tmp");
     {
         let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        use std::io::Write;
-        file.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
+        file.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
         file.sync_all().map_err(|e| io_err(&tmp, e))?;
     }
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all(); // best-effort directory durability
-        }
-    }
-    Ok(())
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err(dir, e))
 }
 
 /// Read and decode a snapshot file.
@@ -468,6 +486,17 @@ mod tests {
 
     fn srow(a: &str, b: &str) -> Vec<Value> {
         vec![Value::str(a), Value::str(b)]
+    }
+
+    /// A checksum-valid image of `body` under snapshot `version`.
+    fn stamp(version: u32, body: &[u8]) -> Vec<u8> {
+        let mut img = Vec::new();
+        img.extend_from_slice(&SNAPSHOT_MAGIC);
+        img.extend_from_slice(&version.to_le_bytes());
+        img.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        img.extend_from_slice(&crc32(body).to_le_bytes());
+        img.extend_from_slice(body);
+        img
     }
 
     fn setup() -> (LiveRelation, IncrementalValidator) {
@@ -599,7 +628,8 @@ mod tests {
 
     #[test]
     fn file_round_trip_and_atomic_overwrite() {
-        let dir = std::env::temp_dir().join("evofd_persist_snap_tests");
+        let dir =
+            std::env::temp_dir().join(format!("evofd_persist_snap_tests_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snapshot.bin");
         let (live, v) = setup();
@@ -627,15 +657,6 @@ mod tests {
         // lacks the (empty) decision section. All are 4-byte u32 counts
         // here, so truncate-and-restamp builds the old formats —
         // pre-upgrade table dirs must keep opening.
-        let stamp = |version: u32, body: &[u8]| {
-            let mut img = Vec::new();
-            img.extend_from_slice(&SNAPSHOT_MAGIC);
-            img.extend_from_slice(&version.to_le_bytes());
-            img.extend_from_slice(&(body.len() as u64).to_le_bytes());
-            img.extend_from_slice(&crc32(body).to_le_bytes());
-            img.extend_from_slice(body);
-            img
-        };
         for (version, cut) in [(3u32, 4usize), (2, 8), (1, 12)] {
             let img = stamp(version, &body[..body.len() - cut]);
             let state = decode_snapshot(Path::new("mem"), &img).unwrap();
@@ -675,6 +696,28 @@ mod tests {
                 "truncation to {cut} bytes accepted"
             );
         }
+    }
+
+    #[test]
+    fn hostile_row_count_is_a_clean_error() {
+        // A zero-column schema reads no codes, so nothing but the body
+        // length bounds the row count the liveness mask is sized from.
+        for row_count in [1u64 << 40, u64::MAX] {
+            let mut body = Encoder::new();
+            body.u64(0); // last_seq
+            body.u64(0); // cursor
+            body.u64(0); // epoch
+            body.str("t");
+            body.u32(0); // arity
+            body.u64(row_count);
+            let img = stamp(SNAPSHOT_VERSION, &body.into_bytes());
+            let err = decode_snapshot(Path::new("mem"), &img).unwrap_err();
+            assert!(matches!(err, PersistError::CorruptSnapshot { .. }), "{err:?}");
+        }
+        // A body length past the address space is truncation, not overflow.
+        let mut img = stamp(SNAPSHOT_VERSION, &[]);
+        img[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_snapshot(Path::new("mem"), &img).is_err());
     }
 
     #[test]

@@ -1,39 +1,56 @@
-//! [`DurableRelation`]: a [`LiveRelation`] + [`IncrementalValidator`] pair
-//! whose every delta is journaled to a WAL **before** it is applied, with
-//! periodic columnar snapshots so recovery is snapshot-load + WAL-tail
-//! replay; and [`Database`], a directory of durable relations.
+//! [`DurableRelation`]: one table's in-memory state plus its journal — a
+//! WAL every change is written to **before** it is applied, and periodic
+//! columnar snapshots, so recovery is snapshot-load + WAL-tail replay —
+//! and [`Database`], a directory of durable relations.
 //!
 //! ## Directory layout
 //!
 //! ```text
 //! <data-dir>/<table>/snapshot.bin   columnar snapshot (atomic rename)
-//! <data-dir>/<table>/wal.log        delta WAL since that snapshot
+//! <data-dir>/<table>/wal.log        record WAL since that snapshot
+//! <data-dir>/<table>/history.bin    FD-health time series
 //! ```
 //!
-//! ## Write path
+//! ## One state machine, three drivers
 //!
-//! 1. encode the delta as a WAL record stamped with the epoch the live
-//!    relation will hold after application (journal-before-apply);
-//! 2. apply to the [`LiveRelation`] (atomic: all or nothing) and fan the
-//!    tracker updates out via [`IncrementalValidator::apply`];
-//! 3. on apply failure, append a rollback record cancelling the journaled
-//!    delta and surface the error — matching the in-memory engines'
-//!    restore-on-error contract;
-//! 4. if the tombstone fraction passed the live relation's threshold,
-//!    compact and journal a compact record (replay compacts at exactly the
-//!    same point — compaction is deterministic);
-//! 5. if the WAL outgrew [`PersistOptions::wal_compact_bytes`], write a
-//!    fresh snapshot and reset the WAL (snapshot-compaction).
+//! Every change to a table is a [`WalRecord`], and exactly one function
+//! applies records to table state: `TableState::apply_record` in the
+//! `table` module. It runs the epoch-continuity gates before and after
+//! every delta and compaction, maintains trackers, advisor, history and
+//! alerts, and calls back into the journal between validating a record
+//! and mutating anything. Three thin drivers feed it:
 //!
-//! ## Recovery
+//! * **Write path (leader)** — [`DurableRelation::apply`], `set_fds`,
+//!   `set_cursor`, decisions, …: build the record, journal it, apply it.
+//!   Tombstone compaction is decided here (the live relation's
+//!   threshold) and applied as a journaled `Compact` record through the
+//!   same arm recovery and replicas replay. When the WAL outgrows
+//!   [`PersistOptions::wal_compact_bytes`], write a fresh snapshot and
+//!   reset the WAL.
+//! * **Recovery** — [`DurableRelation::open`]: load the snapshot (exact
+//!   physical layout, imported tracker counts — no relation scan),
+//!   truncate any torn WAL tail to the last checksum-valid record, skip
+//!   records the snapshot folded in and deltas a rollback cancelled, then
+//!   feed each surviving record.
+//! * **Replica** — `ReplicaState::apply_frame`: skip duplicate
+//!   deliveries, hold the doom gate, then validate, journal under the
+//!   leader's sequence number, apply.
 //!
-//! [`DurableRelation::open`] loads the snapshot (exact physical layout,
-//! imported tracker counts — no relation scan), truncates any torn WAL
-//! tail to the last checksum-valid record, collects rollback targets, and
-//! replays the surviving records with `seq` beyond the snapshot's. Every
-//! replayed delta's epoch is checked against its journaled `epoch_after`;
-//! divergence is a hard [`PersistError::Recovery`] error, not silent
-//! corruption.
+//! The policies that differ:
+//!
+//! | policy | Leader | Recovery | Replica |
+//! |---|---|---|---|
+//! | journal | before apply | never | after validation, before apply |
+//! | engine rejects a delta | journal `Rollback`, `sync`, return `Err` | at the tail: amputate the record; mid-log: hard `Recovery` error | hold as pending doom until the leader's rollback |
+//! | publish alert transitions | yes | no | yes |
+//! | decide tombstone compaction | yes, via the threshold | no, replays `Compact` | no, replays `Compact` |
+//! | WAL-threshold checkpoint | yes | no | yes |
+//! | reject a `Decision` naming an unknown FD or repeating one | by construction | no | yes |
+//! | error variant for a bad record | `Table` | `Recovery` | `Replication` |
+//!
+//! Because leader, recovered and replica state are the same function of
+//! the same record stream, their snapshot images and history files agree
+//! byte for byte by construction.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -41,20 +58,18 @@ use std::sync::Arc;
 
 use evofd_core::{Fd, Repair};
 use evofd_incremental::{
-    AppliedDelta, DecisionAction, DecisionRecord, Delta, DriftKind, FdDrift, IncrementalValidator,
+    AppliedDelta, DecisionAction, DecisionRecord, Delta, FdDrift, IncrementalValidator,
     LiveAdvisor, LiveRelation, ValidatorConfig, DEFAULT_COMPACT_THRESHOLD,
 };
 use evofd_storage::Relation;
 
-use crate::alert::{AlertRule, AlertState, AlertTransition};
+use crate::alert::{AlertRule, AlertState};
 use crate::error::{io_err, PersistError, Result};
-use crate::history::{
-    scan_history, scan_history_bytes, AlertEntry, DriftEntry, FdSample, HistoryFrame,
-    HistoryWriter, HISTORY_FILE,
-};
+use crate::history::{scan_history, scan_history_bytes, HistoryFrame, HistoryWriter, HISTORY_FILE};
 use crate::lock::DirLock;
 use crate::replication::Shipment;
-use crate::snapshot::{decode_snapshot, encode_snapshot, read_snapshot, write_snapshot};
+use crate::snapshot::{decode_snapshot, read_snapshot, write_file_atomic, SnapshotState};
+use crate::table::{Applied, Origin, TableState};
 use crate::wal::{recover_wal, scan_wal, SyncPolicy, WalRecord, WalWriter};
 
 /// Snapshot file name inside a table directory.
@@ -120,111 +135,23 @@ pub enum ReplicaIngest {
     Doomed,
 }
 
-/// Stable one-token rendering of a [`DriftKind`](evofd_incremental::DriftKind)
-/// for durable [`DriftEntry`] records (byte-for-byte deterministic; parsed
-/// back by nothing — the history file stores, SQL filters on substrings).
-fn drift_kind_token(kind: &DriftKind) -> String {
-    match kind {
-        DriftKind::BecameViolated => "violated".into(),
-        DriftKind::BecameExact => "exact".into(),
-        DriftKind::ConfidenceCrossed { threshold, upward } => {
-            format!("crossed-{}@{threshold}", if *upward { "up" } else { "down" })
-        }
-        DriftKind::AlertFired { rule } => format!("alert-fired:{rule}"),
-        DriftKind::AlertResolved { rule } => format!("alert-resolved:{rule}"),
-    }
-}
-
-/// Sample one durable history frame and evaluate the alert rules, shared
-/// verbatim by the leader apply path, recovery replay and replica ingest
-/// so all three derive byte-identical history files.
-///
-/// Free function (not a method) because recovery replay holds `live` /
-/// `validator` / `alerts` as locals before the [`DurableRelation`] exists.
-///
-/// Alert runtime is **always** advanced on a sampled epoch — the streaks
-/// forward-derive deterministically from the snapshot — but the frame is
-/// only appended when this epoch is beyond the file's last frame, which
-/// is what de-duplicates replayed and re-shipped epochs. Returns the
-/// alert transitions; only *live* paths publish them (feed + metrics) —
-/// replay re-deriving runtime must not double-count.
-fn record_history_frame(
-    history: Option<&mut HistoryWriter>,
-    stride: u64,
-    live: &LiveRelation,
-    validator: &IncrementalValidator,
-    alerts: &mut AlertState,
-    seq: u64,
-    drift: &[FdDrift],
-) -> Result<Vec<AlertTransition>> {
-    let Some(history) = history else { return Ok(Vec::new()) };
-    let epoch = live.epoch();
-    if stride == 0 || !epoch.is_multiple_of(stride) {
-        return Ok(Vec::new());
-    }
-    let schema = live.schema();
-    let samples: Vec<FdSample> = validator
-        .fds()
-        .iter()
-        .enumerate()
-        .map(|(i, fd)| FdSample {
-            fd: fd.display(schema),
-            confidence: validator.measures(i).confidence,
-            g3: validator.g3(i),
-            violating_groups: validator.summary(i).violating_groups as u64,
-            violated: !validator.is_exact(i),
-        })
-        .collect();
-    let transitions = alerts.evaluate(|fd_text| {
-        samples.iter().find(|s| s.fd == fd_text).map(|s| (s.confidence, s.g3, s.violating_groups))
-    });
-    let frame = HistoryFrame {
-        epoch,
-        seq,
-        rows: live.row_count() as u64,
-        samples,
-        drifts: drift
-            .iter()
-            .map(|d| DriftEntry {
-                fd: d.fd.display(schema),
-                kind: drift_kind_token(&d.kind),
-                confidence_before: d.confidence_before,
-                confidence_after: d.confidence_after,
-                groups: d.groups.clone(),
-            })
-            .collect(),
-        alerts: transitions
-            .iter()
-            .map(|t| AlertEntry { rule: t.rule.to_string(), fd: t.fd.clone(), fired: t.fired })
-            .collect(),
-    };
-    if !frame.is_empty() && epoch > history.last_epoch() {
-        history.append(&frame)?;
-    }
-    Ok(transitions)
-}
-
-/// Retire decisions whose FD is no longer tracked (after an `FdSet`
-/// change) — deterministic on leader, recovery and replicas alike.
-fn retain_decisions(
-    decisions: &mut Vec<DecisionRecord>,
-    validator: &IncrementalValidator,
-    live: &LiveRelation,
-) {
-    let kept: HashSet<String> = validator.fds().iter().map(|f| f.display(live.schema())).collect();
-    decisions.retain(|d| kept.contains(&d.fd));
+/// Append `record` to the WAL and advance the next sequence number past
+/// it — the journal step every leader and replica record goes through.
+fn journal(wal: &mut WalWriter, next_seq: &mut u64, record: &WalRecord) -> Result<()> {
+    wal.append(record)?;
+    *next_seq = record.seq() + 1;
+    Ok(())
 }
 
 /// A live relation + incremental validator with WAL + snapshot durability.
 #[derive(Debug)]
 pub struct DurableRelation {
     dir: PathBuf,
-    live: LiveRelation,
-    validator: IncrementalValidator,
+    /// Everything the records apply to (see [`crate::table`]).
+    state: TableState,
     wal: WalWriter,
     opts: PersistOptions,
     next_seq: u64,
-    cursor: u64,
     recovery: RecoveryReport,
     /// `last_seq` of the snapshot currently on disk — the shipping
     /// horizon: records at or below it are only available via bootstrap.
@@ -232,25 +159,6 @@ pub struct DurableRelation {
     /// Follower-side only: a journaled delta the engine rejected, awaiting
     /// the leader's rollback record.
     doomed: Option<u64>,
-    /// Journaled advisor decisions, in decision order — the durable
-    /// designer session (snapshot section + WAL `Decision` records).
-    decisions: Vec<DecisionRecord>,
-    /// Canonical names of the columns under secondary indexing (snapshot
-    /// section + WAL `IndexSet` records). Only the set is durable; index
-    /// contents are derived state the SQL engine rebuilds from the rows.
-    indexed_columns: Vec<String>,
-    /// The live advisor, materialized on first use and maintained per
-    /// delta from then on. Derived state: rebuildable from `live`,
-    /// `validator` and `decisions` at any time.
-    advisor: Option<LiveAdvisor>,
-    /// Journaled alert rules (WAL `AlertSet` records carry the full set,
-    /// like `FdSet`) plus their runtime streaks (snapshot section v4;
-    /// forward-derived deterministically across replay).
-    alerts: AlertState,
-    /// The durable FD-health time series writer — `None` when
-    /// [`PersistOptions::history_stride`] is 0. Appended by
-    /// [`record_history_frame`]; never reset by checkpoints.
-    history: Option<HistoryWriter>,
     /// Cached per-table metric handles for the apply hot path (applies
     /// counter + latency histogram) — avoids a registry lookup per delta.
     apply_stats: Option<(Arc<evofd_obs::Counter>, Arc<evofd_obs::Histogram>)>,
@@ -278,32 +186,20 @@ impl DurableRelation {
             });
         }
         let lock = DirLock::acquire(dir)?;
-        let mut live = LiveRelation::new(rel);
-        live.set_compact_threshold(opts.compact_threshold);
+        let live = LiveRelation::new(rel);
         let validator = IncrementalValidator::with_config(&live, fds, config);
-        write_snapshot(&snap_path, &live, &validator, &[], &[], &AlertState::new(), 0, 0)?;
+        let state = TableState::new(dir, &opts, live, validator)?;
+        write_file_atomic(&snap_path, &state.encode(0))?;
         let wal = WalWriter::create(&dir.join(WAL_FILE), opts.sync)?;
-        let history = if opts.history_stride > 0 {
-            Some(HistoryWriter::open(&dir.join(HISTORY_FILE))?)
-        } else {
-            None
-        };
         Ok(DurableRelation {
             dir: dir.to_path_buf(),
-            live,
-            validator,
+            state,
             wal,
             opts,
             next_seq: 1,
-            cursor: 0,
             recovery: RecoveryReport::default(),
             snapshot_seq: 0,
             doomed: None,
-            decisions: Vec::new(),
-            indexed_columns: Vec::new(),
-            alerts: AlertState::new(),
-            history,
-            advisor: None,
             apply_stats: None,
             lock,
         })
@@ -313,193 +209,78 @@ impl DurableRelation {
     /// snapshot, truncate any torn WAL tail, replay the surviving records.
     pub fn open(dir: &Path, opts: PersistOptions) -> Result<DurableRelation> {
         let lock = DirLock::acquire(dir)?;
-        DurableRelation::open_with_lock(dir, opts, lock)
+        DurableRelation::open_with_lock(dir, opts, lock, None)
     }
 
-    /// [`DurableRelation::open`] with a pre-acquired lock (bootstrap paths
-    /// that must hold the lock while writing the initial files).
+    /// [`DurableRelation::open`] with a pre-acquired lock, starting from
+    /// `image` when the caller already decoded the on-disk snapshot
+    /// (bootstrap, which must hold the lock while writing the files).
     pub(crate) fn open_with_lock(
         dir: &Path,
         opts: PersistOptions,
         lock: DirLock,
+        image: Option<SnapshotState>,
     ) -> Result<DurableRelation> {
         let recovery_timer = evofd_obs::Timer::start();
-        let load_timer = evofd_obs::Timer::start();
-        let state = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
-        load_timer.observe(&evofd_obs::metrics::SNAPSHOT_LOAD_SECONDS);
-        let mut live = state.live;
-        live.set_compact_threshold(opts.compact_threshold);
-        let mut validator = IncrementalValidator::from_tracker_snapshots(
-            &live,
-            state.fds,
-            state.config,
-            &state.trackers,
-        )
-        .map_err(|e| PersistError::Recovery { message: e.to_string() })?;
-        let mut cursor = state.cursor;
-        let mut decisions = state.decisions;
-        let mut indexed_columns = state.indexed_columns;
-        let mut alerts = state.alerts;
-        let mut history = if opts.history_stride > 0 {
-            Some(HistoryWriter::open(&dir.join(HISTORY_FILE))?)
-        } else {
-            None
+        let image = match image {
+            Some(image) => image,
+            None => {
+                let load_timer = evofd_obs::Timer::start();
+                let image = read_snapshot(&dir.join(SNAPSHOT_FILE))?;
+                load_timer.observe(&evofd_obs::metrics::SNAPSHOT_LOAD_SECONDS);
+                image
+            }
         };
+        let snapshot_seq = image.last_seq;
+        let mut state = TableState::from_snapshot(dir, &opts, image)?;
 
         let wal_path = dir.join(WAL_FILE);
         let mut scan = recover_wal(&wal_path)?;
-        let rollback_targets: HashSet<u64> = scan
-            .records
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::Rollback { target_seq, .. } => Some(*target_seq),
-                _ => None,
-            })
-            .collect();
-
+        let rollback_targets: HashSet<u64> =
+            scan.records.iter().filter_map(WalRecord::rollback_target).collect();
         let mut report = RecoveryReport {
-            snapshot_epoch: live.epoch(),
+            snapshot_epoch: state.live.epoch(),
             torn_bytes: scan.torn_bytes,
             ..RecoveryReport::default()
         };
-        let mut max_seq = state.last_seq;
+        let mut max_seq = snapshot_seq;
         for (i, record) in scan.records.iter().enumerate() {
             let seq = record.seq();
             max_seq = max_seq.max(seq);
-            if seq <= state.last_seq {
+            if seq <= snapshot_seq {
                 continue; // already folded into the snapshot
             }
-            match record {
-                WalRecord::Delta { seq, epoch_after, cursor: delta_cursor, inserts, deletes } => {
-                    if rollback_targets.contains(seq) {
-                        report.rolled_back += 1;
-                        continue;
-                    }
-                    let delta = Delta {
-                        inserts: inserts.clone(),
-                        deletes: deletes.iter().map(|&d| d as usize).collect(),
-                    };
-                    let applied = match live.apply(&delta) {
-                        Ok(applied) => applied,
-                        // A doomed FINAL delta with no rollback record is
-                        // the crash window between journaling a delta,
-                        // having the engine reject it atomically, and
-                        // persisting the rollback: the process died in
-                        // between. The engine's rejection is deterministic
-                        // and the in-memory state never advanced, so the
-                        // record is an implicit rollback — amputate it
-                        // from the log and carry on. Anywhere *before*
-                        // the tail the same failure means real
-                        // corruption (later records were journaled
-                        // against a state this delta never produced).
-                        Err(e) if i + 1 == scan.records.len() => {
-                            let cut = scan.offsets[i];
-                            let file = std::fs::OpenOptions::new()
-                                .write(true)
-                                .open(&wal_path)
-                                .map_err(|e| io_err(&wal_path, e))?;
-                            file.set_len(cut).map_err(|e| io_err(&wal_path, e))?;
-                            file.sync_all().map_err(|e| io_err(&wal_path, e))?;
-                            scan.valid_bytes = cut;
-                            report.rolled_back += 1;
-                            let _ = e; // rejection reason; state unchanged
-                            break;
-                        }
-                        Err(e) => {
-                            return Err(PersistError::Recovery {
-                                message: format!("replaying record {seq}: {e}"),
-                            })
-                        }
-                    };
-                    if applied.epoch != *epoch_after {
-                        return Err(PersistError::Recovery {
-                            message: format!(
-                                "record {seq}: journaled epoch {epoch_after} but replay \
-                                 reached {}",
-                                applied.epoch
-                            ),
-                        });
-                    }
-                    let drift = validator.apply_at(&live, &applied, *seq);
-                    // Regenerate any history tail the crash lost: frames
-                    // for epochs already in the file are deduplicated, the
-                    // alert streaks forward-derive either way. Transitions
-                    // are NOT re-published — they already fired live.
-                    record_history_frame(
-                        history.as_mut(),
-                        opts.history_stride,
-                        &live,
-                        &validator,
-                        &mut alerts,
-                        *seq,
-                        &drift,
-                    )?;
-                    if let Some(v) = delta_cursor {
-                        cursor = *v;
-                    }
-                    report.replayed += 1;
+            if rollback_targets.contains(&seq) {
+                report.rolled_back += 1;
+                continue;
+            }
+            match state.apply_record(record, Origin::Recovery, || Ok(()))? {
+                Applied::Delta(_) | Applied::Other => report.replayed += 1,
+                Applied::Rollback => {}
+                // A doomed FINAL delta with no rollback record is the
+                // crash window between journaling a delta, having the
+                // engine reject it atomically, and persisting the
+                // rollback. The rejection is deterministic and the state
+                // never advanced, so the record is an implicit rollback —
+                // amputate it from the log. Anywhere *before* the tail the
+                // same failure means real corruption (later records were
+                // journaled against a state this delta never produced).
+                Applied::Rejected(_) if i + 1 == scan.records.len() => {
+                    let cut = scan.offsets[i];
+                    let file = std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(&wal_path)
+                        .map_err(|e| io_err(&wal_path, e))?;
+                    file.set_len(cut).map_err(|e| io_err(&wal_path, e))?;
+                    file.sync_all().map_err(|e| io_err(&wal_path, e))?;
+                    scan.valid_bytes = cut;
+                    report.rolled_back += 1;
                 }
-                WalRecord::Compact { seq, epoch_after } => {
-                    live.compact();
-                    if live.epoch() != *epoch_after {
-                        return Err(PersistError::Recovery {
-                            message: format!(
-                                "record {seq}: journaled compaction epoch {epoch_after} but \
-                                 replay reached {}",
-                                live.epoch()
-                            ),
-                        });
-                    }
-                    validator.resync(&live);
-                    report.replayed += 1;
+                Applied::Rejected(e) => {
+                    return Err(PersistError::Recovery {
+                        message: format!("replaying record {seq}: {e}"),
+                    })
                 }
-                WalRecord::Cursor { value, .. } => {
-                    cursor = *value;
-                    report.replayed += 1;
-                }
-                WalRecord::FdSet { seq, fds: texts } => {
-                    let mut parsed = Vec::with_capacity(texts.len());
-                    for t in texts {
-                        parsed.push(Fd::parse(live.schema(), t).map_err(|e| {
-                            PersistError::Recovery {
-                                message: format!("record {seq}: journaled FD `{t}`: {e}"),
-                            }
-                        })?);
-                    }
-                    validator = IncrementalValidator::with_config(
-                        &live,
-                        parsed,
-                        validator.config().clone(),
-                    );
-                    retain_decisions(&mut decisions, &validator, &live);
-                    report.replayed += 1;
-                }
-                WalRecord::Decision { record, .. } => {
-                    decisions.push(record.clone());
-                    report.replayed += 1;
-                }
-                WalRecord::IndexSet { seq, columns } => {
-                    for col in columns {
-                        live.schema().resolve(col).map_err(|_| PersistError::Recovery {
-                            message: format!(
-                                "record {seq}: indexed column `{col}` is not in the schema"
-                            ),
-                        })?;
-                    }
-                    indexed_columns = columns.clone();
-                    report.replayed += 1;
-                }
-                WalRecord::AlertSet { seq, rules: texts } => {
-                    let mut parsed = Vec::with_capacity(texts.len());
-                    for t in texts {
-                        parsed.push(AlertRule::parse(t).map_err(|e| PersistError::Recovery {
-                            message: format!("record {seq}: journaled alert rule `{t}`: {e}"),
-                        })?);
-                    }
-                    alerts.install(parsed);
-                    report.replayed += 1;
-                }
-                WalRecord::Rollback { .. } => {}
             }
         }
 
@@ -508,20 +289,13 @@ impl DurableRelation {
         recovery_timer.observe(&evofd_obs::metrics::RECOVERY_SECONDS);
         Ok(DurableRelation {
             dir: dir.to_path_buf(),
-            live,
-            validator,
+            state,
             wal,
             opts,
             next_seq: max_seq + 1,
-            cursor,
             recovery: report,
-            snapshot_seq: state.last_seq,
+            snapshot_seq,
             doomed: None,
-            decisions,
-            indexed_columns,
-            alerts,
-            history,
-            advisor: None,
             apply_stats: None,
             lock,
         })
@@ -529,23 +303,23 @@ impl DurableRelation {
 
     /// The live relation (read-only; mutate through [`Self::apply`]).
     pub fn live(&self) -> &LiveRelation {
-        &self.live
+        &self.state.live
     }
 
     /// The incremental validator (read-only).
     pub fn validator(&self) -> &IncrementalValidator {
-        &self.validator
+        &self.state.validator
     }
 
     /// Mutable validator access — for drift-feed subscriptions; do not
     /// mutate tracker state out of band.
     pub fn validator_mut(&mut self) -> &mut IncrementalValidator {
-        &mut self.validator
+        &mut self.state.validator
     }
 
     /// The table name (from the schema).
     pub fn name(&self) -> &str {
-        self.live.schema().name()
+        self.state.live.schema().name()
     }
 
     /// The table's directory.
@@ -566,19 +340,22 @@ impl DurableRelation {
 
     /// The application stream cursor (see [`Self::set_cursor`]).
     pub fn cursor(&self) -> u64 {
-        self.cursor
+        self.state.cursor
+    }
+
+    /// Journal and apply `record` through the shared state machine.
+    fn commit(&mut self, record: &WalRecord, origin: Origin) -> Result<Applied> {
+        let (wal, next_seq) = (&mut self.wal, &mut self.next_seq);
+        self.state.apply_record(record, origin, || journal(wal, next_seq, record))
     }
 
     /// Journal and set the stream cursor — an application-defined resume
     /// position (e.g. delta-stream records consumed by `evofd watch`).
     pub fn set_cursor(&mut self, value: u64) -> Result<()> {
-        if value == self.cursor {
+        if value == self.state.cursor {
             return Ok(()); // no movement: don't grow the WAL or pay a sync
         }
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::Cursor { seq, value })?;
-        self.next_seq += 1;
-        self.cursor = value;
+        self.commit(&WalRecord::Cursor { seq: self.next_seq, value }, Origin::Leader)?;
         Ok(())
     }
 
@@ -586,7 +363,7 @@ impl DurableRelation {
     /// the sense that compactions themselves are journaled; the threshold
     /// is session configuration).
     pub fn set_compact_threshold(&mut self, threshold: f64) {
-        self.live.set_compact_threshold(threshold);
+        self.state.live.set_compact_threshold(threshold);
         self.opts.compact_threshold = threshold;
     }
 
@@ -610,89 +387,71 @@ impl DurableRelation {
             if let Some(v) = cursor {
                 self.set_cursor(v)?;
             }
-            let applied = self.live.apply(delta)?; // no-op, keeps semantics
+            let applied = self.state.live.apply(delta)?; // no-op, keeps semantics
             return Ok((applied, Vec::new()));
         }
         let _span = evofd_obs::span("store.apply");
         let timer = evofd_obs::Timer::start();
         let seq = self.next_seq;
-        self.wal.append(&WalRecord::Delta {
+        let epoch_after = self.state.live.epoch() + 1;
+        let record = WalRecord::Delta {
             seq,
-            epoch_after: self.live.epoch() + 1,
+            epoch_after,
             cursor,
             inserts: delta.inserts.clone(),
             deletes: delta.deletes.iter().map(|&d| d as u64).collect(),
-        })?;
-        self.next_seq += 1;
-
-        match self.live.apply(delta) {
-            Ok(applied) => {
-                if let Some(v) = cursor {
-                    self.cursor = v;
-                }
-                let drift = self.validator.apply_at(&self.live, &applied, seq);
-                if let Some(advisor) = &mut self.advisor {
-                    advisor.apply(&self.live, &self.validator, &applied);
-                }
-                // Sample history + evaluate alerts BEFORE any compaction
-                // bumps the epoch past the one this delta journaled.
-                let transitions = record_history_frame(
-                    self.history.as_mut(),
-                    self.opts.history_stride,
-                    &self.live,
-                    &self.validator,
-                    &mut self.alerts,
-                    seq,
-                    &drift,
-                )?;
-                self.publish_alert_transitions(transitions, seq);
-                if self.live.maybe_compact() > 0 {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::STORE_COMPACTIONS_TOTAL.with_label("tombstone").inc();
-                        evofd_obs::metrics::ADVISOR_RESYNCS_TOTAL.with_label("compaction").inc();
-                    }
-                    self.validator.resync(&self.live);
-                    if let Some(advisor) = &mut self.advisor {
-                        advisor.resync(&self.live, &self.validator);
-                    }
-                    let seq = self.next_seq;
-                    self.wal.append(&WalRecord::Compact { seq, epoch_after: self.live.epoch() })?;
-                    self.next_seq += 1;
-                }
-                if self.wal.bytes() > self.opts.wal_compact_bytes {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::STORE_COMPACTIONS_TOTAL
-                            .with_label("wal-threshold")
-                            .inc();
-                    }
-                    self.checkpoint()?;
-                }
-                if let Some(ns) = timer.elapsed_ns() {
-                    if self.apply_stats.is_none() {
-                        let table = self.live.schema().name();
-                        self.apply_stats = Some((
-                            evofd_obs::metrics::STORE_APPLIES_TOTAL.with_label(table),
-                            evofd_obs::metrics::STORE_APPLY_SECONDS.with_label(table),
-                        ));
-                    }
-                    if let Some((applies, hist)) = &self.apply_stats {
-                        applies.add(1);
-                        hist.record(ns);
-                    }
-                }
-                Ok((applied, drift))
-            }
+        };
+        let (wal, next_seq) = (&mut self.wal, &mut self.next_seq);
+        let outcome =
+            self.state.apply_delta(delta, seq, epoch_after, cursor, Origin::Leader, || {
+                journal(wal, next_seq, &record)
+            })?;
+        let (applied, drift) = match outcome {
+            Ok(done) => done,
             Err(e) => {
-                let seq = self.next_seq;
-                self.wal.append(&WalRecord::Rollback { seq, target_seq: seq - 1 })?;
-                self.next_seq += 1;
+                let rollback = WalRecord::Rollback { seq: self.next_seq, target_seq: seq };
+                journal(&mut self.wal, &mut self.next_seq, &rollback)?;
                 // A rollback must be durable before the error is surfaced,
                 // whatever the group-commit policy, or replay would re-apply
                 // the cancelled delta.
                 self.wal.sync()?;
-                Err(e.into())
+                return Err(e.into());
             }
+        };
+        if self.state.live.needs_compaction() {
+            if evofd_obs::enabled() {
+                evofd_obs::metrics::STORE_COMPACTIONS_TOTAL.with_label("tombstone").inc();
+                evofd_obs::metrics::ADVISOR_RESYNCS_TOTAL.with_label("compaction").inc();
+            }
+            let epoch_after = self.state.live.epoch() + 1;
+            self.commit(&WalRecord::Compact { seq: self.next_seq, epoch_after }, Origin::Leader)?;
         }
+        self.checkpoint_if_wal_full()?;
+        if let Some(ns) = timer.elapsed_ns() {
+            let table = self.state.live.schema().name();
+            let (applies, hist) = self.apply_stats.get_or_insert_with(|| {
+                (
+                    evofd_obs::metrics::STORE_APPLIES_TOTAL.with_label(table),
+                    evofd_obs::metrics::STORE_APPLY_SECONDS.with_label(table),
+                )
+            });
+            applies.add(1);
+            hist.record(ns);
+        }
+        Ok((applied, drift))
+    }
+
+    /// Snapshot-compact once the WAL outgrows
+    /// [`PersistOptions::wal_compact_bytes`] (leader and replica, after a
+    /// delta).
+    fn checkpoint_if_wal_full(&mut self) -> Result<()> {
+        if self.wal.bytes() <= self.opts.wal_compact_bytes {
+            return Ok(());
+        }
+        if evofd_obs::enabled() {
+            evofd_obs::metrics::STORE_COMPACTIONS_TOTAL.with_label("wal-threshold").inc();
+        }
+        self.checkpoint()
     }
 
     /// Write a snapshot of the current state and reset the WAL. Called
@@ -703,21 +462,12 @@ impl DurableRelation {
         let timer = evofd_obs::Timer::start();
         // History frames for epochs the WAL is about to forget must be
         // durable BEFORE the reset — replay can no longer regenerate them.
-        if let Some(history) = &mut self.history {
+        if let Some(history) = &mut self.state.history {
             history.sync()?;
         }
-        write_snapshot(
-            &self.dir.join(SNAPSHOT_FILE),
-            &self.live,
-            &self.validator,
-            &self.decisions,
-            &self.indexed_columns,
-            &self.alerts,
-            self.next_seq - 1,
-            self.cursor,
-        )?;
+        write_file_atomic(&self.dir.join(SNAPSHOT_FILE), &self.state.encode(self.last_seq()))?;
         timer.observe(&evofd_obs::metrics::SNAPSHOT_ENCODE_SECONDS);
-        self.snapshot_seq = self.next_seq - 1;
+        self.snapshot_seq = self.last_seq();
         self.wal.reset()
     }
 
@@ -747,15 +497,7 @@ impl DurableRelation {
     /// on-disk one) — what the in-process transport ships to bootstrap a
     /// follower directly at [`DurableRelation::last_seq`].
     pub fn encode_current_snapshot(&self) -> Vec<u8> {
-        encode_snapshot(
-            &self.live,
-            &self.validator,
-            &self.decisions,
-            &self.indexed_columns,
-            &self.alerts,
-            self.last_seq(),
-            self.cursor,
-        )
+        self.state.encode(self.last_seq())
     }
 
     /// Serve the replication stream from position `seq` (the follower's
@@ -781,12 +523,12 @@ impl DurableRelation {
     // Replica ingest (follower side).
     // ------------------------------------------------------------------
 
-    /// Apply one shipped leader record to this (follower) table: journal
-    /// it to the local WAL with the **leader's** sequence number, then
-    /// apply with exactly the semantics the recovery replay uses —
-    /// journal-before-apply, epoch cross-checks, deterministic rejection
-    /// held as a pending doom until the leader's rollback arrives.
-    /// Duplicate deliveries (`seq` already acked) are skipped.
+    /// Apply one shipped leader record to this (follower) table: skip a
+    /// duplicate delivery (`seq` already acked), hold the doom gate, then
+    /// validate, journal under the **leader's** sequence number and apply
+    /// through the shared state machine. A deterministically rejected
+    /// delta is held as a pending doom until the leader's rollback
+    /// arrives.
     pub(crate) fn ingest_replicated(&mut self, record: &WalRecord) -> Result<ReplicaIngest> {
         let seq = record.seq();
         if seq < self.next_seq {
@@ -795,239 +537,37 @@ impl DurableRelation {
         if let Some(doom) = self.doomed {
             // The only legal next record is the leader's rollback of the
             // doomed delta; anything else means the streams diverged.
-            match record {
-                WalRecord::Rollback { target_seq, .. } if *target_seq == doom => {}
-                _ => {
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "expected a rollback of doomed delta {doom}, got record {seq}"
-                        ),
-                    })
-                }
+            if record.rollback_target() != Some(doom) {
+                return Err(PersistError::Replication {
+                    message: format!(
+                        "expected a rollback of doomed delta {doom}, got record {seq}"
+                    ),
+                });
             }
         }
-        match record {
-            WalRecord::Delta { seq, epoch_after, cursor, inserts, deletes } => {
-                // Epoch continuity gate, checked BEFORE anything mutates:
-                // every leader delta advances the epoch by exactly one, so
-                // a mismatch here means deltas were skipped (e.g. a racy
-                // transport shipped frames across a checkpoint gap) or the
-                // states diverged. Rejecting now keeps the local WAL free
-                // of a record its own recovery could not replay.
-                if *epoch_after != self.live.epoch() + 1 {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label("epoch").inc();
-                    }
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: leader epoch_after {epoch_after} does not follow \
-                             replica epoch {} — deltas were skipped or states diverged; \
-                             re-bootstrap the replica",
-                            self.live.epoch()
-                        ),
-                    });
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                let delta = Delta {
-                    inserts: inserts.clone(),
-                    deletes: deletes.iter().map(|&d| d as usize).collect(),
-                };
-                match self.live.apply(&delta) {
-                    Err(_) => {
-                        // Deterministic rejection: the leader rejected this
-                        // delta too and will ship its rollback next. The
-                        // journaled copy mirrors the leader's WAL; if we
-                        // die first, recovery amputates it (doomed tail).
-                        self.doomed = Some(*seq);
-                        Ok(ReplicaIngest::Doomed)
-                    }
-                    Ok(applied) => {
-                        if applied.epoch != *epoch_after {
-                            return Err(PersistError::Replication {
-                                message: format!(
-                                    "record {seq}: leader journaled epoch {epoch_after} but \
-                                     replica reached {} — states diverged",
-                                    applied.epoch
-                                ),
-                            });
-                        }
-                        if let Some(v) = cursor {
-                            self.cursor = *v;
-                        }
-                        let drift = self.validator.apply_at(&self.live, &applied, *seq);
-                        // A materialized advisor session (replica-side
-                        // SUGGEST/SHOW FDS) is maintained per ingested
-                        // delta, exactly like the leader's apply path.
-                        if let Some(advisor) = &mut self.advisor {
-                            advisor.apply(&self.live, &self.validator, &applied);
-                        }
-                        // The follower derives the same history frames and
-                        // alert streaks from the same delta stream — its
-                        // history.bin converges byte-for-byte with the
-                        // leader's (bootstrap ships the folded prefix).
-                        let transitions = record_history_frame(
-                            self.history.as_mut(),
-                            self.opts.history_stride,
-                            &self.live,
-                            &self.validator,
-                            &mut self.alerts,
-                            *seq,
-                            &drift,
-                        )?;
-                        self.publish_alert_transitions(transitions, *seq);
-                        // No tombstone compaction here: the leader journals
-                        // its compactions as Compact records, and replaying
-                        // them at the same point is what keeps the physical
-                        // layouts (codes, row ids) byte-identical.
-                        if self.wal.bytes() > self.opts.wal_compact_bytes {
-                            self.checkpoint()?;
-                        }
-                        Ok(ReplicaIngest::Applied(drift))
-                    }
-                }
+        Ok(match self.commit(record, Origin::Replica)? {
+            Applied::Delta(drift) => {
+                self.checkpoint_if_wal_full()?;
+                ReplicaIngest::Applied(drift)
             }
-            WalRecord::Rollback { seq, .. } => {
-                // With a doom pending this cancels it; without one the
-                // target delta was never applied here (our own recovery
-                // amputated it as a doomed tail) — either way the rollback
-                // is journaled so local replay also skips the target.
-                self.wal.append(record)?;
+            // The leader rejected this delta too and will ship its rollback
+            // next. The journaled copy mirrors the leader's WAL; if we die
+            // first, recovery amputates it (doomed tail).
+            Applied::Rejected(_) => {
+                self.doomed = Some(seq);
+                ReplicaIngest::Doomed
+            }
+            // With a doom pending this cancels it; without one the target
+            // delta was never applied here (our own recovery amputated it
+            // as a doomed tail) — either way the rollback is journaled so
+            // local replay also skips the target.
+            Applied::Rollback => {
                 self.wal.sync()?;
-                self.next_seq = seq + 1;
                 self.doomed = None;
-                Ok(ReplicaIngest::Applied(Vec::new()))
+                ReplicaIngest::Applied(Vec::new())
             }
-            WalRecord::Compact { seq, epoch_after } => {
-                // Same pre-mutation continuity gate as deltas: a leader
-                // compaction advances the epoch by exactly one.
-                if *epoch_after != self.live.epoch() + 1 {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label("epoch").inc();
-                    }
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: leader compaction epoch_after {epoch_after} does \
-                             not follow replica epoch {} — deltas were skipped or states \
-                             diverged; re-bootstrap the replica",
-                            self.live.epoch()
-                        ),
-                    });
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.live.compact();
-                if self.live.epoch() != *epoch_after {
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: leader compacted to epoch {epoch_after} but replica \
-                             reached {} — states diverged",
-                            self.live.epoch()
-                        ),
-                    });
-                }
-                self.validator.resync(&self.live);
-                // Compaction remaps row ids and dictionary codes: a
-                // materialized advisor's indexes must rebuild too.
-                if let Some(advisor) = &mut self.advisor {
-                    advisor.resync(&self.live, &self.validator);
-                }
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::Cursor { seq, value } => {
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.cursor = *value;
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::FdSet { seq, fds: texts } => {
-                // Parse BEFORE journaling so a malformed record never
-                // reaches the local WAL (its own recovery would fail on
-                // it with the same error).
-                let mut parsed = Vec::with_capacity(texts.len());
-                for t in texts {
-                    parsed.push(Fd::parse(self.live.schema(), t).map_err(|e| {
-                        PersistError::Replication {
-                            message: format!("record {seq}: shipped FD `{t}`: {e}"),
-                        }
-                    })?);
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.install_fd_set(parsed);
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::Decision { seq, record: decision } => {
-                // Validate BEFORE journaling (same discipline as FdSet):
-                // a rejected decision must never reach the local WAL, or
-                // recovery would re-install it unconditionally and every
-                // later advisor materialization would fail.
-                let known = Fd::parse(self.live.schema(), &decision.fd)
-                    .ok()
-                    .and_then(|fd| self.validator.fds().iter().position(|f| *f == fd));
-                if known.is_none() {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label("decision").inc();
-                    }
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: decision names unknown FD `{}`",
-                            decision.fd
-                        ),
-                    });
-                }
-                if self.decisions.iter().any(|d| d.fd == decision.fd) {
-                    if evofd_obs::enabled() {
-                        evofd_obs::metrics::REPL_REJECTS_TOTAL.with_label("decision").inc();
-                    }
-                    return Err(PersistError::Replication {
-                        message: format!(
-                            "record {seq}: FD `{}` already carries a decision",
-                            decision.fd
-                        ),
-                    });
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                if let Some(advisor) = &mut self.advisor {
-                    advisor.restore(decision).map_err(|e| PersistError::Replication {
-                        message: format!("record {seq}: {e}"),
-                    })?;
-                }
-                self.decisions.push(decision.clone());
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::IndexSet { seq, columns } => {
-                // Validate BEFORE journaling (same discipline as FdSet): a
-                // record naming a column the schema lacks must never reach
-                // the local WAL.
-                for col in columns {
-                    self.live.schema().resolve(col).map_err(|_| PersistError::Replication {
-                        message: format!(
-                            "record {seq}: shipped indexed column `{col}` is not in the schema"
-                        ),
-                    })?;
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.indexed_columns = columns.clone();
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-            WalRecord::AlertSet { seq, rules: texts } => {
-                // Parse BEFORE journaling (same discipline as FdSet): a
-                // malformed rule must never reach the local WAL.
-                let mut parsed = Vec::with_capacity(texts.len());
-                for t in texts {
-                    parsed.push(AlertRule::parse(t).map_err(|e| PersistError::Replication {
-                        message: format!("record {seq}: shipped alert rule `{t}`: {e}"),
-                    })?);
-                }
-                self.wal.append(record)?;
-                self.next_seq = seq + 1;
-                self.alerts.install(parsed);
-                Ok(ReplicaIngest::Applied(Vec::new()))
-            }
-        }
+            Applied::Other => ReplicaIngest::Applied(Vec::new()),
+        })
     }
 
     /// Replace this table's entire state from a shipped bootstrap
@@ -1036,36 +576,15 @@ impl DurableRelation {
     /// snapshot's position. The directory lock is held throughout.
     pub(crate) fn install_snapshot(&mut self, bytes: &[u8]) -> Result<()> {
         let snap_path = self.dir.join(SNAPSHOT_FILE);
-        let state = decode_snapshot(&snap_path, bytes)?;
-        let mut live = state.live;
-        live.set_compact_threshold(self.opts.compact_threshold);
-        let validator = IncrementalValidator::from_tracker_snapshots(
-            &live,
-            state.fds,
-            state.config,
-            &state.trackers,
-        )
-        .map_err(|e| PersistError::Recovery { message: e.to_string() })?;
-        // Persist the image exactly as shipped (atomic, like write_snapshot).
-        let tmp = snap_path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            file.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-            file.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &snap_path).map_err(|e| io_err(&snap_path, e))?;
+        let image = decode_snapshot(&snap_path, bytes)?;
+        let last_seq = image.last_seq;
+        let state = TableState::from_snapshot(&self.dir, &self.opts, image)?;
+        write_file_atomic(&snap_path, bytes)?; // the image exactly as shipped
         self.wal.reset()?;
-        self.live = live;
-        self.validator = validator;
-        self.next_seq = state.last_seq + 1;
-        self.snapshot_seq = state.last_seq;
-        self.cursor = state.cursor;
+        self.state = state;
+        self.next_seq = last_seq + 1;
+        self.snapshot_seq = last_seq;
         self.doomed = None;
-        self.decisions = state.decisions;
-        self.indexed_columns = state.indexed_columns;
-        self.alerts = state.alerts;
-        self.advisor = None; // derived: rebuilt lazily over the new state
         evofd_obs::metrics::REPL_BOOTSTRAPS_TOTAL.inc();
         Ok(())
     }
@@ -1080,16 +599,9 @@ impl DurableRelation {
         }
         let path = self.dir.join(HISTORY_FILE);
         scan_history_bytes(&path, bytes)?; // validate before touching disk
-        self.history = None; // close the writer before replacing its file
-        let tmp = path.with_extension("tmp");
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            file.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
-            file.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-        self.history = Some(HistoryWriter::open(&path)?);
+        self.state.history = None; // close the writer before replacing its file
+        write_file_atomic(&path, bytes)?;
+        self.state.history = Some(HistoryWriter::open(&path)?);
         Ok(())
     }
 
@@ -1099,12 +611,12 @@ impl DurableRelation {
 
     /// The journaled advisor decisions, in decision order.
     pub fn decisions(&self) -> &[DecisionRecord] {
-        &self.decisions
+        &self.state.decisions
     }
 
     /// The advisor session if already materialized (read-only peek).
     pub fn advisor(&self) -> Option<&LiveAdvisor> {
-        self.advisor.as_ref()
+        self.state.advisor.as_ref()
     }
 
     /// Build an advisor session over the current state (one
@@ -1113,8 +625,8 @@ impl DurableRelation {
     /// observability (`SHOW FDS`) uses this so a status query never turns
     /// into a standing per-delta maintenance tax.
     pub fn build_advisor(&self) -> Result<LiveAdvisor> {
-        let mut advisor = LiveAdvisor::new(&self.live, &self.validator);
-        for record in &self.decisions {
+        let mut advisor = LiveAdvisor::new(&self.state.live, &self.state.validator);
+        for record in &self.state.decisions {
             advisor.restore(record).map_err(|e| PersistError::Recovery {
                 message: format!("restoring advisor decision for `{}`: {e}", record.fd),
             })?;
@@ -1127,10 +639,28 @@ impl DurableRelation {
     /// maintained in O(changed rows) per delta for the lifetime of this
     /// handle.
     pub fn ensure_advisor(&mut self) -> Result<&mut LiveAdvisor> {
-        if self.advisor.is_none() {
-            self.advisor = Some(self.build_advisor()?);
+        if self.state.advisor.is_none() {
+            self.state.advisor = Some(self.build_advisor()?);
         }
-        Ok(self.advisor.as_mut().expect("just ensured"))
+        Ok(self.state.advisor.as_mut().expect("just ensured"))
+    }
+
+    fn table_error(&self, message: String) -> PersistError {
+        PersistError::Table { name: self.name().to_string(), message }
+    }
+
+    /// The canonical text of FD `fd_index` if it awaits a designer
+    /// decision — checked before journaling, so the `Decision` record
+    /// always applies (the rule replicas enforce on shipped decisions).
+    fn pending_decision(&mut self, fd_index: usize) -> Result<String> {
+        self.ensure_advisor()?;
+        let advisor = self.state.advisor.as_ref().expect("ensured");
+        let pending = advisor.state(fd_index).map(|s| s.needs_decision()).unwrap_or(false);
+        let fd = advisor.fds()[fd_index].display(self.state.live.schema());
+        if !pending || self.state.decisions.iter().any(|d| d.fd == fd) {
+            return Err(self.table_error(format!("FD #{fd_index} is not awaiting a decision")));
+        }
+        Ok(fd)
     }
 
     /// Accept ranked proposal `proposal` (0-based) for FD `fd_index`:
@@ -1142,46 +672,26 @@ impl DurableRelation {
     /// repair.
     pub fn accept_repair(&mut self, fd_index: usize, proposal: usize) -> Result<Repair> {
         self.ensure_advisor()?;
-        let advisor = self.advisor.as_ref().expect("ensured");
-        let proposals = advisor.proposals(fd_index).map_err(|e| PersistError::Table {
-            name: self.live.schema().name().to_string(),
-            message: e.to_string(),
+        let advisor = self.state.advisor.as_ref().expect("ensured");
+        let proposals = advisor.proposals(fd_index).map_err(|e| self.table_error(e.to_string()))?;
+        let chosen = proposals.get(proposal).cloned().ok_or_else(|| {
+            self.table_error(format!("no proposal #{} for FD #{fd_index}", proposal + 1))
         })?;
-        let chosen = proposals.get(proposal).cloned().ok_or_else(|| PersistError::Table {
-            name: self.live.schema().name().to_string(),
-            message: format!("no proposal #{} for FD #{fd_index}", proposal + 1),
-        })?;
-        let schema = self.live.schema();
-        let record = DecisionRecord {
-            fd: advisor.fds()[fd_index].display(schema),
-            action: DecisionAction::Accept {
-                proposal: proposal as u32,
-                evolved: chosen.fd.display(schema),
-            },
-        };
-        self.journal_decision(&record)?;
-        self.advisor
-            .as_mut()
-            .expect("ensured")
-            .accept(fd_index, proposal)
-            .expect("accept pre-validated above");
-        let original = record.fd.clone();
-        let evolved = match &record.action {
-            DecisionAction::Accept { evolved, .. } => evolved.clone(),
-            _ => unreachable!("constructed as Accept above"),
-        };
-        self.decisions.push(record);
+        let original = self.pending_decision(fd_index)?;
+        let evolved = chosen.fd.display(self.state.live.schema());
+        let action = DecisionAction::Accept { proposal: proposal as u32, evolved: evolved.clone() };
+        let record = DecisionRecord { fd: original.clone(), action };
+        self.commit(&WalRecord::Decision { seq: self.next_seq, record }, Origin::Leader)?;
 
         // Swap the evolved FD into the tracked set. The journaled FdSet
         // record retires the Accept decision (its FD is no longer
         // tracked); the replacement itself is what recovery and replica
         // replay reconstruct, in the same Decision-then-FdSet order.
-        let mut fds = self.validator.fds().to_vec();
+        let mut fds = self.state.validator.fds().to_vec();
         fds[fd_index] = chosen.fd.clone();
         self.set_fds(fds)?;
         evofd_obs::metrics::ADVISOR_ACCEPTED_REPLACEMENTS_TOTAL.inc();
-        self.ensure_advisor()?;
-        self.advisor.as_mut().expect("ensured").note_replacement(&original, &evolved);
+        self.ensure_advisor()?.note_replacement(&original, &evolved);
         Ok(chosen)
     }
 
@@ -1198,33 +708,9 @@ impl DurableRelation {
     }
 
     fn decide_simple(&mut self, fd_index: usize, action: DecisionAction) -> Result<()> {
-        self.ensure_advisor()?;
-        let advisor = self.advisor.as_ref().expect("ensured");
-        let pending = advisor.state(fd_index).map(|s| s.needs_decision()).unwrap_or(false);
-        if !pending {
-            return Err(PersistError::Table {
-                name: self.live.schema().name().to_string(),
-                message: format!("FD #{fd_index} is not awaiting a decision"),
-            });
-        }
-        let record =
-            DecisionRecord { fd: advisor.fds()[fd_index].display(self.live.schema()), action };
-        self.journal_decision(&record)?;
-        let advisor = self.advisor.as_mut().expect("ensured");
-        match record.action {
-            DecisionAction::Keep => advisor.keep(fd_index),
-            DecisionAction::Drop => advisor.drop_fd(fd_index),
-            DecisionAction::Accept { .. } => unreachable!("accept goes through accept_repair"),
-        }
-        .expect("decision pre-validated above");
-        self.decisions.push(record);
-        Ok(())
-    }
-
-    fn journal_decision(&mut self, record: &DecisionRecord) -> Result<()> {
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::Decision { seq, record: record.clone() })?;
-        self.next_seq += 1;
+        let fd = self.pending_decision(fd_index)?;
+        let record = DecisionRecord { fd, action };
+        self.commit(&WalRecord::Decision { seq: self.next_seq, record }, Origin::Leader)?;
         Ok(())
     }
 
@@ -1234,24 +720,15 @@ impl DurableRelation {
     /// for FDs no longer tracked. Returns the new tracked count. Note the
     /// rebuild resets the validator's drift-feed subscriptions and stats.
     pub fn set_fds(&mut self, fds: Vec<Fd>) -> Result<usize> {
-        let rendered: Vec<String> = fds.iter().map(|f| f.display(self.live.schema())).collect();
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::FdSet { seq, fds: rendered })?;
-        self.next_seq += 1;
-        self.install_fd_set(fds);
-        Ok(self.validator.fds().len())
-    }
-
-    fn install_fd_set(&mut self, fds: Vec<Fd>) {
-        let config = self.validator.config().clone();
-        self.validator = IncrementalValidator::with_config(&self.live, fds, config);
-        retain_decisions(&mut self.decisions, &self.validator, &self.live);
-        self.advisor = None; // derived: rebuilt lazily over the new set
+        let schema = self.state.live.schema();
+        let fds = fds.iter().map(|f| f.display(schema)).collect();
+        self.commit(&WalRecord::FdSet { seq: self.next_seq, fds }, Origin::Leader)?;
+        Ok(self.state.validator.fds().len())
     }
 
     /// Canonical names of the columns under secondary indexing.
     pub fn indexed_columns(&self) -> &[String] {
-        &self.indexed_columns
+        &self.state.indexed_columns
     }
 
     /// Replace the indexed-column set (`CREATE INDEX` / `DROP INDEX`):
@@ -1260,16 +737,7 @@ impl DurableRelation {
     /// contents are derived state the SQL engine rebuilds from the rows,
     /// both on the live path and after recovery.
     pub fn set_indexes(&mut self, columns: Vec<String>) -> Result<()> {
-        for col in &columns {
-            self.live.schema().resolve(col).map_err(|_| PersistError::Table {
-                name: self.live.schema().name().to_string(),
-                message: format!("indexed column `{col}` is not in the schema"),
-            })?;
-        }
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::IndexSet { seq, columns: columns.clone() })?;
-        self.next_seq += 1;
-        self.indexed_columns = columns;
+        self.commit(&WalRecord::IndexSet { seq: self.next_seq, columns }, Origin::Leader)?;
         Ok(())
     }
 
@@ -1279,7 +747,7 @@ impl DurableRelation {
 
     /// The journaled alert rules and their runtime streaks.
     pub fn alerts(&self) -> &AlertState {
-        &self.alerts
+        &self.state.alerts
     }
 
     /// Replace the alert-rule set (`ALERT ON …` / `DROP ALERT`): journal
@@ -1293,26 +761,21 @@ impl DurableRelation {
     /// display strings the sampling path compares against; an FD that
     /// does not parse is an error before anything is journaled.
     pub fn set_alerts(&mut self, mut rules: Vec<AlertRule>) -> Result<usize> {
+        let schema = self.state.live.schema();
         for rule in &mut rules {
-            let parsed =
-                Fd::parse(self.live.schema(), &rule.fd).map_err(|e| PersistError::Table {
-                    name: self.live.schema().name().to_string(),
-                    message: format!("bad FD in alert rule `{rule}`: {e}"),
-                })?;
-            rule.fd = parsed.display(self.live.schema());
+            let parsed = Fd::parse(schema, &rule.fd)
+                .map_err(|e| self.table_error(format!("bad FD in alert rule `{rule}`: {e}")))?;
+            rule.fd = parsed.display(schema);
         }
-        let rendered: Vec<String> = rules.iter().map(|r| r.to_string()).collect();
-        let seq = self.next_seq;
-        self.wal.append(&WalRecord::AlertSet { seq, rules: rendered })?;
-        self.next_seq += 1;
-        self.alerts.install(rules);
-        Ok(self.alerts.rules.len())
+        let rules = rules.iter().map(|r| r.to_string()).collect();
+        self.commit(&WalRecord::AlertSet { seq: self.next_seq, rules }, Origin::Leader)?;
+        Ok(self.state.alerts.rules.len())
     }
 
     /// Every durable history frame currently on disk (a fresh scan; the
     /// file is append-only so this is the full time series).
     pub fn history_frames(&self) -> Result<Vec<HistoryFrame>> {
-        if self.history.is_none() {
+        if self.state.history.is_none() {
             return Ok(Vec::new());
         }
         Ok(scan_history(&self.dir.join(HISTORY_FILE))?.frames)
@@ -1322,50 +785,10 @@ impl DurableRelation {
     /// Reads through the page cache, so unsynced appends are included.
     /// Empty when history is disabled or nothing was ever sampled.
     pub fn history_bytes(&self) -> Vec<u8> {
-        if self.history.is_none() {
+        if self.state.history.is_none() {
             return Vec::new();
         }
         std::fs::read(self.dir.join(HISTORY_FILE)).unwrap_or_default()
-    }
-
-    /// Fan freshly evaluated alert transitions out to the observability
-    /// surfaces: the per-table counter families, the trace ring, and the
-    /// validator's drift feed (as [`DriftKind::AlertFired`] /
-    /// [`DriftKind::AlertResolved`] events). Live paths only — replay
-    /// re-derives runtime without re-announcing.
-    fn publish_alert_transitions(&mut self, transitions: Vec<AlertTransition>, seq: u64) {
-        for t in transitions {
-            if evofd_obs::enabled() {
-                let family = if t.fired {
-                    &evofd_obs::metrics::ALERTS_FIRED_TOTAL
-                } else {
-                    &evofd_obs::metrics::ALERTS_RESOLVED_TOTAL
-                };
-                family.with_label(self.live.schema().name()).inc();
-                let _span = evofd_obs::span(if t.fired { "alert.fired" } else { "alert.resolved" });
-            }
-            let index =
-                self.validator.fds().iter().position(|f| f.display(self.live.schema()) == t.fd);
-            if let Some(i) = index {
-                let confidence = self.validator.measures(i).confidence;
-                let kind = if t.fired {
-                    DriftKind::AlertFired { rule: t.rule.to_string() }
-                } else {
-                    DriftKind::AlertResolved { rule: t.rule.to_string() }
-                };
-                let event = FdDrift {
-                    fd_index: i,
-                    fd: self.validator.fds()[i].clone(),
-                    kind,
-                    confidence_before: confidence,
-                    confidence_after: confidence,
-                    epoch: self.live.epoch(),
-                    seq,
-                    groups: Vec::new(),
-                };
-                self.validator.publish_drift(event);
-            }
-        }
     }
 }
 
@@ -1485,7 +908,9 @@ mod tests {
     use evofd_storage::{relation_of_strs, Value};
 
     fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("evofd_persist_store_tests").join(name);
+        let dir = std::env::temp_dir()
+            .join(format!("evofd_persist_store_tests_{}", std::process::id()))
+            .join(name);
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

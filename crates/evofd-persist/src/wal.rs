@@ -199,6 +199,14 @@ impl WalRecord {
         }
     }
 
+    /// The delta a rollback record cancels (`None` for other kinds).
+    pub(crate) fn rollback_target(&self) -> Option<u64> {
+        match self {
+            WalRecord::Rollback { target_seq, .. } => Some(*target_seq),
+            _ => None,
+        }
+    }
+
     /// Encode the payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
@@ -652,7 +660,8 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("evofd_persist_wal_tests");
+        let dir =
+            std::env::temp_dir().join(format!("evofd_persist_wal_tests_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }

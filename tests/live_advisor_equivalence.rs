@@ -184,8 +184,12 @@ fn seeded_stream_with_decisions_keeps_them_sticky() {
 
 #[test]
 fn durable_200_step_stream_survives_kill_reopen_and_replica() {
-    let dir = std::env::temp_dir().join("evofd_live_advisor_equiv").join("leader");
-    let replica_dir = std::env::temp_dir().join("evofd_live_advisor_equiv").join("replica");
+    let dir = std::env::temp_dir()
+        .join(format!("evofd_live_advisor_equiv_{}", std::process::id()))
+        .join("leader");
+    let replica_dir = std::env::temp_dir()
+        .join(format!("evofd_live_advisor_equiv_{}", std::process::id()))
+        .join("replica");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&replica_dir);
 

@@ -28,7 +28,9 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("evofd_monitor_equivalence").join(name);
+    let dir = std::env::temp_dir()
+        .join(format!("evofd_monitor_equivalence_{}", std::process::id()))
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir

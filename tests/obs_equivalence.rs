@@ -27,7 +27,9 @@ use proptest::prelude::*;
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("evofd_obs_equivalence").join(name);
+    let dir = std::env::temp_dir()
+        .join(format!("evofd_obs_equivalence_{}", std::process::id()))
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -5,7 +5,8 @@
 //!
 //! For a generated leader stream (inserts, value deletes, deterministic
 //! rejections with rollbacks, journaled tombstone compactions, cursor
-//! moves) the driver:
+//! moves, FD-set, index-set and alert-set changes, advisor decisions)
+//! the driver:
 //!
 //! * kills the follower at **every frame boundary** of the stream and
 //!   restarts it (recovery + resync must converge to the leader bytes);
@@ -16,24 +17,30 @@
 //!
 //! Convergence is asserted on the full encoded state image — physical
 //! relation (codes, dictionaries, tombstone mask), epoch, per-FD tracker
-//! counts, cursor and acked seq — so a duplicated or skipped delta
-//! cannot hide: it would shift row ids, epochs or group counts.
+//! counts, decisions, index and alert sets, cursor and acked seq — and on
+//! the durable history file, so a duplicated or skipped delta cannot
+//! hide: it would shift row ids, epochs, group counts or history frames.
+//! A cold reopen of the leader directory (the recovery path) must
+//! reproduce the same image and history too.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use evofd::core::Fd;
 use evofd::incremental::{Delta, ValidatorConfig};
 use evofd::persist::wal::WAL_HEADER_LEN;
 use evofd::persist::{
-    Database, DirTransport, DurableRelation, FrameTransport, PersistOptions, ReplicaState,
-    Shipment, SyncPolicy, WalRecord, WAL_FILE,
+    AlertRule, Database, DirTransport, DurableRelation, FrameTransport, PersistOptions,
+    ReplicaState, Shipment, SyncPolicy, WalRecord, WAL_FILE,
 };
 use evofd::storage::{relation_of_strs, Relation, Value};
 use proptest::prelude::*;
 use proptest::TestRng;
 
 fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("evofd_replication_chaos").join(name);
+    let dir = std::env::temp_dir()
+        .join(format!("evofd_replication_chaos_{}", std::process::id()))
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -49,7 +56,8 @@ fn base_rel() -> Relation {
 
 /// Build a leader with a seeded delta stream that exercises every WAL
 /// record kind: plain deltas, a deterministic rejection (rollback pair),
-/// tombstone compactions (low threshold) and cursor moves.
+/// tombstone compactions (low threshold), cursor moves, FD-set,
+/// index-set and alert-set replacements, and advisor decisions.
 fn build_leader(dir: &Path, sync: SyncPolicy, seed: u64, steps: u64) -> Database {
     let opts = PersistOptions {
         sync,
@@ -65,7 +73,7 @@ fn build_leader(dir: &Path, sync: SyncPolicy, seed: u64, steps: u64) -> Database
     let mut rng = TestRng::new(seed);
     for step in 0..steps {
         let t = db.get_mut("t").unwrap();
-        match rng.below(8) {
+        match rng.below(12) {
             0..=3 => {
                 let n = 1 + rng.below(2);
                 let rows: Vec<Vec<Value>> =
@@ -85,11 +93,54 @@ fn build_leader(dir: &Path, sync: SyncPolicy, seed: u64, steps: u64) -> Database
                 // cancelled by a rollback record.
                 assert!(t.apply(&Delta::inserting(vec![vec![Value::str("one")]])).is_err());
             }
-            _ => t.set_cursor(step * 10 + 7).unwrap(),
+            7 => t.set_cursor(step * 10 + 7).unwrap(),
+            8 => {
+                // Toggle a second tracked FD (retires its decision, if any).
+                let schema = t.live().schema().clone();
+                let mut fds = vec![Fd::parse(&schema, "X -> Y").unwrap()];
+                if t.validator().fds().len() == 1 {
+                    fds.push(Fd::parse(&schema, "Y -> X").unwrap());
+                }
+                t.set_fds(fds).unwrap();
+            }
+            9 => {
+                let columns =
+                    if t.indexed_columns().is_empty() { vec!["X".into()] } else { vec![] };
+                t.set_indexes(columns).unwrap();
+            }
+            10 => {
+                let rule = format!("FD 'X -> Y' WHEN confidence < 0.{} FOR 2 EPOCHS", 5 + step % 5);
+                t.set_alerts(vec![AlertRule::parse(&rule).unwrap()]).unwrap();
+            }
+            _ => {
+                // Decide the first FD awaiting a decision, if any.
+                let pending = t.ensure_advisor().unwrap().pending();
+                if let Some(&i) = pending.first() {
+                    if rng.below(2) == 0 {
+                        t.decide_keep(i).unwrap();
+                    } else {
+                        t.decide_drop(i).unwrap();
+                    }
+                }
+            }
         }
     }
     db.get_mut("t").unwrap().sync().unwrap();
     db
+}
+
+/// The record kind's name; exhaustive, so a new kind must join the sweep.
+fn kind_name(record: &WalRecord) -> &'static str {
+    match record {
+        WalRecord::Delta { .. } => "delta",
+        WalRecord::Rollback { .. } => "rollback",
+        WalRecord::Compact { .. } => "compact",
+        WalRecord::Cursor { .. } => "cursor",
+        WalRecord::FdSet { .. } => "fd-set",
+        WalRecord::Decision { .. } => "decision",
+        WalRecord::IndexSet { .. } => "index-set",
+        WalRecord::AlertSet { .. } => "alert-set",
+    }
 }
 
 fn state_image(t: &DurableRelation) -> Vec<u8> {
@@ -111,6 +162,7 @@ struct LeaderRef<'a> {
     table_dir: &'a Path,
     frames: &'a [Vec<u8>],
     image: &'a [u8],
+    history: &'a [u8],
     seq: u64,
 }
 
@@ -156,43 +208,60 @@ fn kill_restart_converge(
         leader.image,
         "kill at {kill_at} (tear={tear}): state diverged"
     );
+    assert_eq!(
+        replica.table().history_bytes(),
+        leader.history,
+        "kill at {kill_at} (tear={tear}): history diverged"
+    );
 }
 
 fn chaos_sweep(sync: SyncPolicy, seed: u64) {
     let label = format!("sweep_{sync}_{seed}");
     let ldir = tmpdir(&format!("{label}_leader"));
     let scratch = tmpdir(&format!("{label}_replicas"));
-    let db = build_leader(&ldir, sync, seed, 18);
-    let leader = db.get("t").unwrap();
-    let leader_image = state_image(leader);
-    let leader_seq = leader.last_seq();
     let opts = PersistOptions {
         sync,
         wal_compact_bytes: u64::MAX,
         compact_threshold: 0.25,
         history_stride: 1,
     };
+    let db = build_leader(&ldir, sync, seed, 30);
+    let leader = db.get("t").unwrap();
+    let leader_image = state_image(leader);
+    let leader_history = leader.history_bytes();
+    let leader_seq = leader.last_seq();
+    drop(db);
+
+    // Recovery path: a cold reopen of the leader directory reproduces the
+    // leader's image and history.
+    let reopened = Database::open(&ldir, opts.clone()).unwrap();
+    let recovered = reopened.get("t").unwrap();
+    assert_eq!(state_image(recovered), leader_image, "cold reopen diverged");
+    assert_eq!(recovered.history_bytes(), leader_history, "cold reopen history diverged");
+    drop(reopened);
 
     let table_dir = ldir.join("t");
     let frames = all_frames(&table_dir);
     assert!(!frames.is_empty());
     // The pinned seeds must exercise every record kind in one stream.
-    let kinds: Vec<WalRecord> =
-        frames.iter().map(|f| WalRecord::decode_frame(f).expect("valid frame")).collect();
-    assert!(kinds.iter().any(|r| matches!(r, WalRecord::Delta { .. })));
-    assert!(
-        kinds.iter().any(|r| matches!(r, WalRecord::Rollback { .. })),
-        "seed {seed} produced no rollback — adjust the seed"
-    );
-    assert!(
-        kinds.iter().any(|r| matches!(r, WalRecord::Compact { .. })),
-        "seed {seed} produced no compaction — adjust the seed"
-    );
-    assert!(kinds.iter().any(|r| matches!(r, WalRecord::Cursor { .. })));
+    let seen: HashSet<&str> = frames
+        .iter()
+        .map(|f| kind_name(&WalRecord::decode_frame(f).expect("valid frame")))
+        .collect();
+    for kind in
+        ["delta", "rollback", "compact", "cursor", "fd-set", "decision", "index-set", "alert-set"]
+    {
+        assert!(seen.contains(kind), "seed {seed} produced no {kind} record — adjust the seed");
+    }
 
     // Kill at EVERY frame boundary, clean and torn.
-    let leader_ref =
-        LeaderRef { table_dir: &table_dir, frames: &frames, image: &leader_image, seq: leader_seq };
+    let leader_ref = LeaderRef {
+        table_dir: &table_dir,
+        frames: &frames,
+        image: &leader_image,
+        history: &leader_history,
+        seq: leader_seq,
+    };
     for kill_at in 0..=frames.len() {
         for tear in [false, true] {
             kill_restart_converge(&leader_ref, &opts, kill_at, tear, &scratch);
@@ -286,11 +355,13 @@ proptest! {
         let table_dir = ldir.join("t");
         let frames = all_frames(&table_dir);
         let image = state_image(leader);
+        let history = leader.history_bytes();
         let kill_at = (kill_frac as usize * (frames.len() + 1)) / 100;
         let leader_ref = LeaderRef {
             table_dir: &table_dir,
             frames: &frames,
             image: &image,
+            history: &history,
             seq: leader.last_seq(),
         };
         kill_restart_converge(&leader_ref, &opts, kill_at.min(frames.len()), tear == 1, &scratch);

@@ -27,7 +27,8 @@ use evofd::server::{Client, ClientError, EvofdServer, ServerOptions, SocketTrans
 use evofd::storage::relation_of_strs;
 
 fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("evofd_server_chaos").join(name);
+    let dir =
+        std::env::temp_dir().join(format!("evofd_server_chaos_{}", std::process::id())).join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
