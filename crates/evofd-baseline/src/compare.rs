@@ -36,8 +36,8 @@ impl MeasurePair {
     /// Evaluate both measures for extending `fd` by `added` on `rel`.
     pub fn of_candidate(rel: &Relation, fd: &Fd, added: &AttrSet) -> MeasurePair {
         let extended = fd.with_lhs_attrs(added);
-        let mut cache = DistinctCache::disabled();
-        let m = Measures::compute(rel, &extended, &mut cache);
+        let cache = DistinctCache::disabled();
+        let m = Measures::compute(rel, &extended, &cache);
         MeasurePair { epsilon_cb: m.epsilon_cb(), epsilon_vi: epsilon_vi_candidate(rel, fd, added) }
     }
 
@@ -102,8 +102,8 @@ impl RankingComparison {
     /// Rank the full candidate pool of `fd` on `rel` with both methods.
     pub fn run(rel: &Relation, fd: &Fd) -> RankingComparison {
         let pool = candidate_pool(rel, fd);
-        let mut cache = DistinctCache::new();
-        let cb = extend_by_one(rel, fd, &pool, &mut cache);
+        let cache = DistinctCache::new();
+        let cb = extend_by_one(rel, fd, &pool, &cache);
         let stats = cache.stats();
         let cb_cost = CbCost { counts_computed: stats.misses, counts_cached: stats.hits };
         let (eb, eb_cost) = eb_rank_candidates(rel, fd, &pool);

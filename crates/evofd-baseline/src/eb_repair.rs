@@ -80,7 +80,7 @@ pub fn eb_rank_candidates(rel: &Relation, fd: &Fd, pool: &AttrSet) -> (Vec<EbCan
     cost.clusterings_built += 1;
     cost.rows_scanned += n * fd.lhs().len() as u64;
 
-    let mut cache = DistinctCache::new();
+    let cache = DistinctCache::new();
     let mut out: Vec<EbCandidate> = pool
         .iter()
         .map(|attr| {
@@ -102,7 +102,7 @@ pub fn eb_rank_candidates(rel: &Relation, fd: &Fd, pool: &AttrSet) -> (Vec<EbCan
             cost.rows_scanned += n;
             let h_attr_given_truth = t2.conditional_entropy_a_given_b();
 
-            let measures = Measures::compute(rel, &fd.with_lhs_attr(attr), &mut cache);
+            let measures = Measures::compute(rel, &fd.with_lhs_attr(attr), &cache);
             EbCandidate { attr, h_truth_given_extended, h_attr_given_truth, measures }
         })
         .collect();

@@ -17,8 +17,8 @@ fn bench_cb_vs_eb(c: &mut Criterion) {
         let pool = candidate_pool(&rel, &fd);
         group.bench_with_input(BenchmarkId::new("cb_confidence", rows), &rel, |b, rel| {
             b.iter(|| {
-                let mut cache = DistinctCache::new();
-                extend_by_one(rel, &fd, &pool, &mut cache)
+                let cache = DistinctCache::new();
+                extend_by_one(rel, &fd, &pool, &cache)
             })
         });
         group.bench_with_input(BenchmarkId::new("eb_entropy", rows), &rel, |b, rel| {

@@ -1,8 +1,8 @@
 //! Criterion micro-bench: distinct counting strategies.
 //!
 //! The `|π_X(r)|` primitive is the hot path of the whole CB method; this
-//! bench compares partition refinement on dictionary codes against naive
-//! row hashing, across row counts and attribute-set widths.
+//! bench compares the hash kernel on dictionary codes against naive row
+//! hashing, across row counts and attribute-set widths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use evofd_datagen::SyntheticSpec;
@@ -15,7 +15,7 @@ fn bench_distinct(c: &mut Criterion) {
         for &width in &[1usize, 3, 6] {
             let attrs = AttrSet::full(width);
             group.bench_with_input(
-                BenchmarkId::new(format!("refine_w{width}"), rows),
+                BenchmarkId::new(format!("hash_w{width}"), rows),
                 &rel,
                 |b, rel| b.iter(|| count_distinct(rel, &attrs)),
             );

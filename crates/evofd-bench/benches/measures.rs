@@ -13,8 +13,8 @@ fn bench_measures(c: &mut Criterion) {
         let fd = Fd::parse(rel.schema(), "a0, a1 -> a6").expect("planted");
         group.bench_with_input(BenchmarkId::new("confidence_goodness", rows), &rel, |b, rel| {
             b.iter(|| {
-                let mut cache = DistinctCache::disabled();
-                Measures::compute(rel, &fd, &mut cache)
+                let cache = DistinctCache::disabled();
+                Measures::compute(rel, &fd, &cache)
             })
         });
     }
@@ -25,7 +25,7 @@ fn bench_measures(c: &mut Criterion) {
     let fds: Vec<Fd> =
         (1..8).map(|i| Fd::parse(rel.schema(), &format!("a0 -> a{i}")).expect("valid")).collect();
     group.bench_function("rank_7_fds_20k_rows", |b| {
-        b.iter(|| order_fds(&rel, &fds, ConflictMode::SharedAttrs, &mut DistinctCache::new()))
+        b.iter(|| order_fds(&rel, &fds, ConflictMode::SharedAttrs, &DistinctCache::new()))
     });
     group.finish();
 }

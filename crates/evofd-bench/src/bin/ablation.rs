@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices called out in DESIGN.md §6:
 //!
 //! 1. **distinct-count memoisation** on vs off during repair search;
-//! 2. **partition-refinement counting** vs naive row-hashing;
+//! 2. **hash-kernel counting** on dictionary codes vs naive row-hashing;
 //! 3. **goodness threshold** (the §4.4 extension) steering the search away
 //!    from UNIQUE-attribute repairs;
 //! 4. **conflict-score modes** (formula as printed vs the variant matching
@@ -48,15 +48,15 @@ fn main() {
     }
     print!("{}", t.render());
 
-    // 2. partition refinement vs naive hashing.
-    println!("\n[2] distinct counting: partition refinement vs naive row hashing:");
+    // 2. hash kernel vs naive hashing.
+    println!("\n[2] distinct counting: hash kernel vs naive row hashing:");
     let wide = SyntheticSpec::uniform("ab2", 6, n_rows, 50, seed).generate();
     let attrs = AttrSet::full(6);
     let (a, t_fast) = timed(|| count_distinct(&wide, &attrs));
     let (b, t_naive) = timed(|| count_distinct_naive(&wide, &attrs));
     assert_eq!(a, b, "both strategies agree");
     let mut t = TextTable::new(["strategy", "time", "result"]);
-    t.row(["partition refinement (codes)", &format_duration(t_fast), &a.to_string()]);
+    t.row(["hash kernel (codes)", &format_duration(t_fast), &a.to_string()]);
     t.row(["naive row hashing (values)", &format_duration(t_naive), &b.to_string()]);
     print!("{}", t.render());
 
@@ -102,7 +102,7 @@ fn main() {
         ("SharedAttrs (formula as printed)", ConflictMode::SharedAttrs),
         ("SharedConsequents (matches paper's numbers)", ConflictMode::SharedConsequents),
     ] {
-        let ranked = order_fds(&places, &fds, mode, &mut DistinctCache::new());
+        let ranked = order_fds(&places, &fds, mode, &DistinctCache::new());
         let order: Vec<String> = ranked
             .iter()
             .map(|r| {

@@ -73,8 +73,8 @@ fn main() {
         let fd = Fd::parse(rel.schema(), &format!("a0 -> a{}", rel.arity() - 1)).expect("planted");
         let (cb_only, cb_time) = timed(|| {
             let pool = candidate_pool(&rel, &fd);
-            let mut cache = evofd_storage::DistinctCache::new();
-            evofd_core::extend_by_one(&rel, &fd, &pool, &mut cache)
+            let cache = evofd_storage::DistinctCache::new();
+            evofd_core::extend_by_one(&rel, &fd, &pool, &cache)
         });
         let ((eb_only, eb_cost), eb_time) = timed(|| {
             let pool = candidate_pool(&rel, &fd);

@@ -1,11 +1,14 @@
 //! `scaling` — thread-count sweep over the parallel execution layer.
 //!
-//! Measures the workloads the `mintpool` refactor parallelised — chunked
-//! multi-attribute `count_distinct` (partition refinement), full-relation
-//! FD validation on synthetic and TPC-H-style data, and incremental
-//! tracker maintenance — at widths 1/2/4/8 (or `--threads …`), asserting
-//! at every width that the results are identical to the 1-thread
-//! baseline, and writes the timings to `BENCH_parallel.json`.
+//! Measures every `mintpool` fan-out the engine keeps — full-relation FD
+//! validation on synthetic and TPC-H-style data (one task per FD),
+//! levelwise discovery on lineitem (one task per lattice node), the
+//! find-all repair search (one task per FD, and per candidate inside
+//! each search) and incremental tracker maintenance (one task per FD) —
+//! at widths 1/2/4/8 (or `--threads …`), asserting at every width that
+//! the results are identical to the 1-thread baseline, and writes the
+//! timings to `BENCH_parallel.json`. Distinct counting itself is one
+//! sequential kernel, so it has no width to sweep.
 //!
 //! Flags: `--rows N` (default 100_000), `--threads 1,2,4,8`, `--seed S`,
 //! `--reps R` (best-of-R timing, default 3), `--out PATH`.
@@ -14,11 +17,13 @@
 //! emitted JSON records `available_parallelism` so readers can tell a
 //! flat sweep on a 1-core CI container from a real regression.
 
-use evofd_bench::{banner, timed, Args};
-use evofd_core::{validate, Fd, TextTable};
+use evofd_bench::{banner, git_revision, timed, Args};
+use evofd_core::{
+    discover_fds, find_fd_repairs, validate, DiscoveryConfig, Fd, RepairConfig, TextTable,
+};
 use evofd_datagen::{generate_table, SyntheticSpec, TpchSpec, TpchTable};
 use evofd_incremental::{Delta, IncrementalValidator, LiveRelation, ValidatorConfig};
-use evofd_storage::{count_distinct, AttrSet, Relation, Value};
+use evofd_storage::Value;
 
 /// One timed (threads, seconds) sample plus its identity check digest.
 struct Sample {
@@ -44,8 +49,10 @@ fn digest(parts: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-fn attr_set(rel: &Relation, names: &[&str]) -> AttrSet {
-    rel.schema().attr_set(names).expect("bench attribute names exist")
+/// One FD plus a count from its measures, folded into a digest part.
+fn fd_digest(fd: &Fd, count: usize) -> u64 {
+    let bits = |set: &evofd_storage::AttrSet| set.iter().fold(0u64, |acc, a| acc | 1 << a.0);
+    digest([bits(fd.lhs()), bits(fd.rhs()), count as u64])
 }
 
 fn main() {
@@ -58,7 +65,7 @@ fn main() {
 
     banner(
         "scaling — parallel execution layer thread sweep",
-        "count_distinct / validation / tracker maintenance at widths 1..8",
+        "validation / discovery / repair search / tracker maintenance at widths 1..8",
     );
     let cores = mintpool::available_parallelism();
     println!("host parallelism: {cores} core(s); sweeping widths {sweep:?}\n");
@@ -71,12 +78,6 @@ fn main() {
 
     // Synthetic relation with a planted, lightly violated FD a0,a1 -> a4.
     let synth = SyntheticSpec::planted_fd("scale", 2, 2, rows, 64, 0.001, seed).generate();
-    let synth_sets: Vec<AttrSet> = vec![
-        attr_set(&synth, &["a0", "a1"]),
-        attr_set(&synth, &["a2", "a3"]),
-        attr_set(&synth, &["a0", "a1", "a4"]),
-        attr_set(&synth, &["a0", "a2", "a3"]),
-    ];
     let synth_fds: Vec<Fd> = ["a0, a1 -> a4", "a0 -> a2", "a2, a3 -> a0", "a1, a2 -> a3"]
         .iter()
         .map(|t| Fd::parse(synth.schema(), t).expect("static FD"))
@@ -102,11 +103,9 @@ fn main() {
     let delta = Delta { inserts, deletes: (0..changes / 2).collect() };
     let tracker_fds: Vec<Fd> = synth_fds.iter().chain(&synth_fds).cloned().collect();
 
+    let discovery = DiscoveryConfig { max_lhs: 2, ..DiscoveryConfig::default() };
+
     let workloads: Vec<Workload> = vec![
-        Workload {
-            name: "count_distinct_multi_attr",
-            run: Box::new(|| digest(synth_sets.iter().map(|s| count_distinct(&synth, s) as u64))),
-        },
         Workload {
             name: "validate_synthetic",
             run: Box::new(|| {
@@ -122,6 +121,28 @@ fn main() {
                 let report = validate(&lineitem, &tpch_fds);
                 digest(report.statuses.iter().map(|s| {
                     (s.measures.distinct_lhs as u64) << 32 | s.measures.distinct_lhs_rhs as u64
+                }))
+            }),
+        },
+        Workload {
+            name: "discover_fds_tpch_lineitem",
+            run: Box::new(|| {
+                let mined = discover_fds(&lineitem, &discovery);
+                digest(
+                    mined
+                        .fds
+                        .iter()
+                        .map(|d| fd_digest(&d.fd, d.measures.distinct_lhs_rhs))
+                        .chain([mined.checks as u64, mined.nodes_visited as u64]),
+                )
+            }),
+        },
+        Workload {
+            name: "repair_fd_find_all_synthetic",
+            run: Box::new(|| {
+                let outcomes = find_fd_repairs(&synth, &synth_fds, &RepairConfig::find_all());
+                digest(outcomes.iter().flat_map(|o| o.search.iter()).flat_map(|search| {
+                    search.repairs.iter().map(|r| fd_digest(&r.fd, r.measures.distinct_lhs))
                 }))
             }),
         },
@@ -208,7 +229,7 @@ fn main() {
             })
             .collect();
         json_workloads.push(format!(
-            "    {{\"name\": \"{}\", \"results\": [{}]}}",
+            "    {{\"name\": \"{}\", \"width1_seconds\": {base:.6}, \"results\": [{}]}}",
             w.name,
             entries.join(", ")
         ));
@@ -217,8 +238,10 @@ fn main() {
     print!("{}", table.render());
 
     let json = format!(
-        "{{\n  \"available_parallelism\": {cores},\n  \"rows\": {rows},\n  \
-         \"seed\": {seed},\n  \"threads_swept\": {sweep:?},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"scaling\",\n  \"available_parallelism\": {cores},\n  \
+         \"rows\": {rows},\n  \"seed\": {seed},\n  \"git_revision\": \"{}\",\n  \
+         \"threads_swept\": {sweep:?},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        git_revision(),
         json_workloads.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_parallel.json");

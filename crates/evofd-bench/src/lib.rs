@@ -27,6 +27,19 @@ pub mod paper;
 
 use std::time::{Duration, Instant};
 
+/// The git revision of the working tree the bench runs in (`git
+/// rev-parse HEAD`), or `unknown` outside a clone or without `git`.
+pub fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Time a closure.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();

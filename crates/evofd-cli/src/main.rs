@@ -13,10 +13,10 @@ use args::Cli;
 
 fn main() {
     let cli = Cli::parse(std::env::args().skip(1));
-    // Global execution width for every parallel path (partitions,
-    // validation, discovery, repair scoring, tracker maintenance):
-    // unset/0 = all available cores, 1 = fully sequential (bit-identical
-    // to the pre-parallel engine).
+    // Global execution width for every parallel path (validation,
+    // discovery, repair scoring, tracker maintenance): unset/0 = all
+    // available cores, 1 = fully sequential. Results are identical at
+    // every width.
     mintpool::set_threads(cli.get_or("threads", 0usize));
     // `--trace-slow MS` turns the metrics registry on and logs any span
     // slower than the threshold to stderr; `stats` always collects.

@@ -10,10 +10,13 @@
 //!    over-specific, UNIQUE-like attributes);
 //! 3. attribute position — ascending, for determinism (matches the
 //!    paper's table layouts, which list schema order within ties).
+//!
+//! Scoring is one code path at every thread width: a `mintpool` fan-out
+//! over the pool against one shared [`DistinctCache`].
 
 use std::cmp::Ordering;
 
-use evofd_storage::{AttrId, AttrSet, DistinctCache, Relation, SharedDistinctCache};
+use evofd_storage::{AttrId, AttrSet, DistinctCache, Relation};
 
 use crate::fd::Fd;
 use crate::measures::Measures;
@@ -52,41 +55,20 @@ pub fn candidate_pool(rel: &Relation, fd: &Fd) -> AttrSet {
 ///
 /// `pool` restricts which attributes may be added (callers pass
 /// [`candidate_pool`] minus anything already tried); counts are memoised
-/// in `cache`.
+/// in `cache`. Each candidate is an independent pair of distinct counts,
+/// so the pool fans out over the `mintpool` width (inline at width 1).
+/// The ranking is identical at every width: counts are deterministic and
+/// the rank comparator is a total order.
 pub fn extend_by_one(
     rel: &Relation,
     fd: &Fd,
     pool: &AttrSet,
-    cache: &mut DistinctCache,
-) -> Vec<Candidate> {
-    let mut out: Vec<Candidate> = pool
-        .iter()
-        .map(|attr| {
-            let extended = fd.with_lhs_attr(attr);
-            let measures = Measures::compute(rel, &extended, cache);
-            Candidate { attr, fd: extended, measures }
-        })
-        .collect();
-    out.sort_by(Candidate::rank_cmp);
-    out
-}
-
-/// [`extend_by_one`] with the candidates' `|π_XA|` / `|π_XAY|` counts
-/// scored concurrently — each candidate is an independent pair of
-/// distinct counts, so one queue expansion fans the whole pool out over
-/// the `mintpool` width. The returned ranking is identical to the
-/// sequential form at any thread count (counts are deterministic and the
-/// rank comparator is a total order).
-pub fn extend_by_one_shared(
-    rel: &Relation,
-    fd: &Fd,
-    pool: &AttrSet,
-    cache: &SharedDistinctCache,
+    cache: &DistinctCache,
 ) -> Vec<Candidate> {
     let attrs: Vec<AttrId> = pool.iter().collect();
     let mut out = mintpool::par_map(&attrs, |&attr| {
         let extended = fd.with_lhs_attr(attr);
-        let measures = Measures::compute_shared(rel, &extended, cache);
+        let measures = Measures::compute(rel, &extended, cache);
         Candidate { attr, fd: extended, measures }
     });
     out.sort_by(Candidate::rank_cmp);
@@ -145,7 +127,7 @@ mod tests {
     fn ranking_prefers_confidence_then_goodness() {
         let r = rel();
         let fd = Fd::parse(r.schema(), "D -> A").unwrap();
-        let cands = extend_by_one(&r, &fd, &candidate_pool(&r, &fd), &mut DistinctCache::new());
+        let cands = extend_by_one(&r, &fd, &candidate_pool(&r, &fd), &DistinctCache::new());
         assert_eq!(cands.len(), 2);
         // Both M and P repair the FD (confidence 1); M has |π_DM| = 3 vs
         // |π_A| = 3 → g = 0, P has |π_DP| = 5 → g = 2. M must win.
@@ -160,7 +142,7 @@ mod tests {
     fn rank_cmp_total_order() {
         let r = rel();
         let fd = Fd::parse(r.schema(), "D -> A").unwrap();
-        let cands = extend_by_one(&r, &fd, &candidate_pool(&r, &fd), &mut DistinctCache::new());
+        let cands = extend_by_one(&r, &fd, &candidate_pool(&r, &fd), &DistinctCache::new());
         for w in cands.windows(2) {
             assert_ne!(w[0].rank_cmp(&w[1]), Ordering::Greater);
         }
@@ -170,22 +152,7 @@ mod tests {
     fn empty_pool_yields_no_candidates() {
         let r = rel();
         let fd = Fd::parse(r.schema(), "D -> A").unwrap();
-        let cands = extend_by_one(&r, &fd, &AttrSet::empty(), &mut DistinctCache::new());
+        let cands = extend_by_one(&r, &fd, &AttrSet::empty(), &DistinctCache::new());
         assert!(cands.is_empty());
-    }
-
-    #[test]
-    fn shared_scoring_matches_sequential() {
-        let r = rel();
-        let fd = Fd::parse(r.schema(), "D -> A").unwrap();
-        let pool = candidate_pool(&r, &fd);
-        let seq = extend_by_one(&r, &fd, &pool, &mut DistinctCache::new());
-        let par = extend_by_one_shared(&r, &fd, &pool, &SharedDistinctCache::new());
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.attr, b.attr);
-            assert_eq!(a.fd, b.fd);
-            assert_eq!(a.measures, b.measures);
-        }
     }
 }

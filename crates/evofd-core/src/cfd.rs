@@ -94,7 +94,7 @@ impl Cfd {
     /// Measures of the embedded FD *within the scope*.
     pub fn measures(&self, rel: &Relation) -> Measures {
         let scoped = self.scope(rel);
-        Measures::compute(&scoped, &self.fd, &mut DistinctCache::disabled())
+        Measures::compute(&scoped, &self.fd, &DistinctCache::disabled())
     }
 
     /// Satisfaction: the FD holds on every matching tuple pair.

@@ -1,4 +1,4 @@
-//! Levelwise FD discovery (a TANE-style miner on partition refinement).
+//! Levelwise FD discovery (a TANE-style miner on distinct counts).
 //!
 //! Section 2 of the paper discusses the alternative to repairing declared
 //! FDs: *discover* every dependency that holds on the instance and then
@@ -15,16 +15,18 @@
 //! contains an already-found determinant of the same consequent, and key
 //! pruning stops extending superkeys.
 //!
-//! Lattice nodes of one level are scored **in parallel** over a shared
-//! count cache: within a level no discovery can prune another (equal-size
-//! antecedents are never strict subsets of each other), so per-node work
-//! only depends on previous levels and the nodes fan out freely. Results
-//! merge back in levelwise order, yielding the same mined FD list as the
-//! sequential walk; at width 1 the original sequential code runs verbatim.
+//! There is one walk. The nodes of a level fan out over the `mintpool`
+//! width (inline at width 1) against one shared [`DistinctCache`]: within
+//! a level no discovery can prune another (equal-size antecedents are
+//! never strict subsets of each other), so per-node work only depends on
+//! previous levels. Results merge back in levelwise order, so the mined
+//! FD list *and* the work counters are the same at every width — a node
+//! records the ordinal of each passing check, and a `max_results` cut
+//! counts checks only up to the one that hit the cap.
 
 use std::time::{Duration, Instant};
 
-use evofd_storage::{AttrId, AttrSet, DistinctCache, Relation, SharedDistinctCache};
+use evofd_storage::{AttrId, AttrSet, DistinctCache, Relation};
 
 use crate::fd::Fd;
 use crate::measures::Measures;
@@ -94,20 +96,11 @@ impl DiscoveryResult {
 }
 
 /// Mine minimal (approximate) FDs from an instance. Candidate validation
-/// within each lattice level fans out across the `mintpool` width; at
-/// width 1 the sequential walk runs unchanged (bit-identical results and
-/// work counters).
+/// within each lattice level fans out across the `mintpool` width; results
+/// and work counters are identical at every width.
 pub fn discover_fds(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
-    if mintpool::threads() <= 1 {
-        discover_fds_sequential(rel, config)
-    } else {
-        discover_fds_parallel(rel, config)
-    }
-}
-
-fn discover_fds_sequential(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
     let start = Instant::now();
-    let mut cache = DistinctCache::new();
+    let cache = DistinctCache::new();
     let attrs: Vec<AttrId> = match &config.attributes {
         Some(set) => set.iter().collect(),
         None => rel.non_null_attrs().iter().collect(),
@@ -122,143 +115,64 @@ fn discover_fds_sequential(rel: &Relation, config: &DiscoveryConfig) -> Discover
         elapsed: Duration::ZERO,
     };
 
-    // found[rhs attr] = list of minimal determinant sets already reported.
+    // Minimal determinant sets already reported, with their consequent.
     let mut found: Vec<(AttrSet, AttrId)> = Vec::new();
-    let is_minimal = |found: &[(AttrSet, AttrId)], lhs: &AttrSet, rhs: AttrId| {
-        !found.iter().any(|(l, r)| *r == rhs && l.is_subset_of(lhs))
-    };
+
+    /// What one lattice node contributes, computed off-thread.
+    struct NodeEval {
+        lhs_is_key: bool,
+        checks: usize,
+        /// Passing FDs with their consequent and the 1-based ordinal of
+        /// their check within the node.
+        passing: Vec<(usize, AttrId, DiscoveredFd)>,
+    }
 
     // Level 1 antecedents: single attributes. Levels grow by extension
     // with a strictly larger attribute id (each set generated once).
     let mut level: Vec<AttrSet> = attrs.iter().map(|&a| AttrSet::single(a)).collect();
 
     'levels: for _size in 1..=config.max_lhs {
-        let mut next_level: Vec<AttrSet> = Vec::new();
-        for lhs in &level {
-            result.nodes_visited += 1;
-            let lhs_count = cache.count(rel, lhs);
-            let lhs_is_key = lhs_count == n_rows && n_rows > 0;
-            for &rhs in &attrs {
-                if lhs.contains(rhs) {
-                    continue;
-                }
-                if !is_minimal(&found, lhs, rhs) {
-                    continue;
-                }
-                result.checks += 1;
-                let fd = Fd::new(lhs.clone(), AttrSet::single(rhs)).expect("non-empty rhs");
-                let measures = Measures::compute(rel, &fd, &mut cache);
-                if measures.confidence >= config.min_confidence {
-                    found.push((lhs.clone(), rhs));
-                    result.fds.push(DiscoveredFd { fd, measures });
-                    if result.fds.len() >= config.max_results {
-                        result.truncated = true;
-                        break 'levels;
-                    }
-                }
-            }
-            // Key pruning: a superkey determines everything already.
-            if !lhs_is_key {
-                let max_attr = lhs.iter().last().map(|a| a.0).unwrap_or(0);
-                for &a in &attrs {
-                    if a.0 > max_attr {
-                        next_level.push(lhs.with(a));
-                    }
-                }
-            }
-        }
-        level = next_level;
-        if level.is_empty() {
-            break;
-        }
-    }
-
-    result.elapsed = start.elapsed();
-    result
-}
-
-/// The parallel miner: one fan-out per lattice level.
-fn discover_fds_parallel(rel: &Relation, config: &DiscoveryConfig) -> DiscoveryResult {
-    let start = Instant::now();
-    let cache = SharedDistinctCache::new();
-    let attrs: Vec<AttrId> = match &config.attributes {
-        Some(set) => set.iter().collect(),
-        None => rel.non_null_attrs().iter().collect(),
-    };
-    let n_rows = rel.row_count();
-
-    let mut result = DiscoveryResult {
-        fds: Vec::new(),
-        nodes_visited: 0,
-        checks: 0,
-        truncated: false,
-        elapsed: Duration::ZERO,
-    };
-
-    let mut found: Vec<(AttrSet, AttrId)> = Vec::new();
-    let is_minimal = |found: &[(AttrSet, AttrId)], lhs: &AttrSet, rhs: AttrId| {
-        !found.iter().any(|(l, r)| *r == rhs && l.is_subset_of(lhs))
-    };
-
-    /// What one lattice node contributes, computed off-thread.
-    struct NodeEval {
-        lhs_is_key: bool,
-        checks: usize,
-        passing: Vec<(AttrId, Fd, Measures)>,
-    }
-
-    let mut level: Vec<AttrSet> = attrs.iter().map(|&a| AttrSet::single(a)).collect();
-
-    'levels: for _size in 1..=config.max_lhs {
-        // Score every node of this level concurrently against the
-        // pre-level `found` set. Equal-size antecedents are never strict
-        // subsets of each other, so in-level discoveries cannot prune
-        // in-level candidates — the snapshot is equivalent to the
-        // sequential walk's incremental updates.
-        let found_snapshot = &found;
+        // Score every node of this level against the pre-level `found`
+        // set; in-level discoveries cannot prune in-level candidates.
+        let found_before = &found;
         let evals: Vec<NodeEval> = mintpool::par_map(&level, |lhs| {
             let lhs_count = cache.count(rel, lhs);
             let lhs_is_key = lhs_count == n_rows && n_rows > 0;
             let mut checks = 0;
             let mut passing = Vec::new();
             for &rhs in &attrs {
-                if lhs.contains(rhs) {
-                    continue;
-                }
-                if !is_minimal(found_snapshot, lhs, rhs) {
+                if lhs.contains(rhs)
+                    || found_before.iter().any(|(l, r)| *r == rhs && l.is_subset_of(lhs))
+                {
                     continue;
                 }
                 checks += 1;
                 let fd = Fd::new(lhs.clone(), AttrSet::single(rhs)).expect("non-empty rhs");
-                let measures = Measures::compute_shared(rel, &fd, &cache);
+                let measures = Measures::compute(rel, &fd, &cache);
                 if measures.confidence >= config.min_confidence {
-                    passing.push((rhs, fd, measures));
+                    passing.push((checks, rhs, DiscoveredFd { fd, measures }));
                 }
             }
             NodeEval { lhs_is_key, checks, passing }
         });
 
-        // Merge in levelwise order: same FD list and pruning frontier as
-        // the sequential miner. (`checks` may exceed the sequential count
-        // when `max_results` truncates mid-level — the level's nodes were
-        // genuinely all evaluated.)
+        // Merge in levelwise order.
         let mut next_level: Vec<AttrSet> = Vec::new();
-        for (lhs, eval) in level.iter().zip(&evals) {
+        for (lhs, eval) in level.iter().zip(evals) {
             result.nodes_visited += 1;
-            result.checks += eval.checks;
-            for (rhs, fd, measures) in &eval.passing {
-                // Re-checked against in-level updates: provably a no-op
-                // (see above), kept as a guard on that argument.
-                if !is_minimal(&found, lhs, *rhs) {
-                    continue;
-                }
-                found.push((lhs.clone(), *rhs));
-                result.fds.push(DiscoveredFd { fd: fd.clone(), measures: *measures });
+            for (ordinal, rhs, discovered) in eval.passing {
+                found.push((lhs.clone(), rhs));
+                result.fds.push(discovered);
                 if result.fds.len() >= config.max_results {
+                    // Checks past the one that hit the cap do not count:
+                    // the walk stops there.
+                    result.checks += ordinal;
                     result.truncated = true;
                     break 'levels;
                 }
             }
+            result.checks += eval.checks;
+            // Key pruning: a superkey determines everything already.
             if !eval.lhs_is_key {
                 let max_attr = lhs.iter().last().map(|a| a.0).unwrap_or(0);
                 for &a in &attrs {
@@ -412,26 +326,6 @@ mod tests {
             "mined: {:?}",
             result.fds.iter().map(|d| d.fd.display(r.schema())).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn parallel_miner_matches_sequential() {
-        let r = rel();
-        for config in [
-            DiscoveryConfig::default(),
-            DiscoveryConfig { min_confidence: 0.6, ..DiscoveryConfig::default() },
-            DiscoveryConfig { max_lhs: 1, ..DiscoveryConfig::default() },
-            DiscoveryConfig { max_results: 3, ..DiscoveryConfig::default() },
-        ] {
-            let seq = discover_fds_sequential(&r, &config);
-            let par = discover_fds_parallel(&r, &config);
-            assert_eq!(seq.fds.len(), par.fds.len(), "{config:?}");
-            for (a, b) in seq.fds.iter().zip(&par.fds) {
-                assert_eq!(a.fd, b.fd);
-                assert_eq!(a.measures, b.measures);
-            }
-            assert_eq!(seq.truncated, par.truncated);
-        }
     }
 
     #[test]

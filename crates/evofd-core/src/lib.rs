@@ -18,9 +18,6 @@
 //!   threshold;
 //! * [`repair_index`] — the repair search as a resumable index whose
 //!   candidate scores are maintained from row-level deltas;
-//! * [`fastkey`] — the shared group-key machinery (fast hasher, inline
-//!   and packed keys, tiered per-group counts) behind the repair index
-//!   and the incremental validator's trackers;
 //! * [`advisor`] — the semi-automatic designer loop;
 //! * [`mod@violations`] — the tuple-level evidence behind each violation;
 //! * [`mod@validate`] — FD validation reports;
@@ -38,7 +35,6 @@ pub mod closure;
 pub mod clustering;
 pub mod discovery;
 pub mod error;
-pub mod fastkey;
 pub mod fd;
 pub mod measures;
 pub mod normalize;
@@ -50,7 +46,7 @@ pub mod validate;
 pub mod violations;
 
 pub use advisor::{AdvisorSession, AuditEvent, FdState};
-pub use candidates::{candidate_pool, extend_by_one, extend_by_one_shared, Candidate};
+pub use candidates::{candidate_pool, extend_by_one, Candidate};
 pub use cfd::{condition_repairs, Cfd, ConditionRepair, Pattern};
 pub use closure::{
     candidate_keys, closure, determines, equivalent, implies, minimal_cover, reduce_determined,
@@ -58,7 +54,6 @@ pub use closure::{
 pub use clustering::{Clustering, FdClusterView};
 pub use discovery::{discover_fds, DiscoveredFd, DiscoveryConfig, DiscoveryResult};
 pub use error::{FdError, Result};
-pub use fastkey::{CodeHasher, FastMap, GroupRhs, Key, KeyMap};
 pub use fd::Fd;
 pub use measures::{confidence, epsilon_cb, goodness, is_satisfied, Measures};
 pub use normalize::{bcnf_decompose, bcnf_violations, is_bcnf, is_superkey, Fragment};

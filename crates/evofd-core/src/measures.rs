@@ -12,8 +12,13 @@
 //!
 //! Counts are compared as integers wherever semantics matter (`c = 1` is
 //! checked via `|π_X| == |π_XY|`, never via floating point).
+//!
+//! Every count goes through one [`DistinctCache`] (and so one counting
+//! kernel, `evofd_storage::count_distinct`). The cache is shared by
+//! reference, so the same [`Measures::compute`] serves sequential callers
+//! and the `mintpool` fan-outs alike.
 
-use evofd_storage::{DistinctCache, Relation, SharedDistinctCache};
+use evofd_storage::{DistinctCache, Relation};
 
 use crate::fd::Fd;
 
@@ -34,28 +39,11 @@ pub struct Measures {
 
 impl Measures {
     /// Compute all measures for `fd` over `rel`, memoising counts in
-    /// `cache`.
-    pub fn compute(rel: &Relation, fd: &Fd, cache: &mut DistinctCache) -> Measures {
-        Measures::from_counts(
-            cache.count(rel, fd.lhs()),
-            cache.count(rel, &fd.attrs()),
-            cache.count(rel, fd.rhs()),
-        )
-    }
-
-    /// [`Measures::compute`] against a concurrent cache — the form every
-    /// `mintpool` fan-out (validation, discovery, repair scoring) uses,
-    /// since it only needs `&SharedDistinctCache`.
-    pub fn compute_shared(rel: &Relation, fd: &Fd, cache: &SharedDistinctCache) -> Measures {
-        Measures::from_counts(
-            cache.count(rel, fd.lhs()),
-            cache.count(rel, &fd.attrs()),
-            cache.count(rel, fd.rhs()),
-        )
-    }
-
-    /// Assemble measures from the three distinct-projection counts.
-    fn from_counts(distinct_lhs: usize, distinct_lhs_rhs: usize, distinct_rhs: usize) -> Measures {
+    /// `cache` (safe to share across concurrent tasks).
+    pub fn compute(rel: &Relation, fd: &Fd, cache: &DistinctCache) -> Measures {
+        let distinct_lhs = cache.count(rel, fd.lhs());
+        let distinct_lhs_rhs = cache.count(rel, &fd.attrs());
+        let distinct_rhs = cache.count(rel, fd.rhs());
         let confidence = if distinct_lhs_rhs == 0 {
             1.0 // empty relation: vacuously exact
         } else {
@@ -94,26 +82,22 @@ impl Measures {
 
 /// Confidence of `fd` over `rel` (no caching). See [`Measures`].
 pub fn confidence(rel: &Relation, fd: &Fd) -> f64 {
-    let mut cache = DistinctCache::disabled();
-    Measures::compute(rel, fd, &mut cache).confidence
+    Measures::compute(rel, fd, &DistinctCache::disabled()).confidence
 }
 
 /// Goodness of `fd` over `rel` (no caching). See [`Measures`].
 pub fn goodness(rel: &Relation, fd: &Fd) -> i64 {
-    let mut cache = DistinctCache::disabled();
-    Measures::compute(rel, fd, &mut cache).goodness
+    Measures::compute(rel, fd, &DistinctCache::disabled()).goodness
 }
 
 /// True iff `fd` is exact on `rel` (Definition 4), computed via counts.
 pub fn is_satisfied(rel: &Relation, fd: &Fd) -> bool {
-    let mut cache = DistinctCache::disabled();
-    Measures::compute(rel, fd, &mut cache).is_exact()
+    Measures::compute(rel, fd, &DistinctCache::disabled()).is_exact()
 }
 
 /// `ε_CB(fd)` over `rel` (no caching). See [`Measures::epsilon_cb`].
 pub fn epsilon_cb(rel: &Relation, fd: &Fd) -> f64 {
-    let mut cache = DistinctCache::disabled();
-    Measures::compute(rel, fd, &mut cache).epsilon_cb()
+    Measures::compute(rel, fd, &DistinctCache::disabled()).epsilon_cb()
 }
 
 #[cfg(test)]
@@ -142,7 +126,7 @@ mod tests {
     fn confidence_and_exactness() {
         let r = rel();
         let f = Fd::parse(r.schema(), "X -> Y").unwrap();
-        let m = Measures::compute(&r, &f, &mut DistinctCache::new());
+        let m = Measures::compute(&r, &f, &DistinctCache::new());
         // |π_X| = 3 (a,b,c); |π_XY| = 4 (a1,a2,b1,c3).
         assert_eq!(m.distinct_lhs, 3);
         assert_eq!(m.distinct_lhs_rhs, 4);
@@ -182,7 +166,7 @@ mod tests {
         )
         .unwrap();
         let f = Fd::parse(r.schema(), "X -> Y").unwrap();
-        let m = Measures::compute(&r, &f, &mut DistinctCache::new());
+        let m = Measures::compute(&r, &f, &DistinctCache::new());
         assert!(m.is_exact());
         assert_eq!(m.goodness, 0);
         assert_eq!(m.epsilon_cb(), 0.0);
@@ -203,7 +187,7 @@ mod tests {
     fn empty_relation_vacuously_exact() {
         let r = relation_of_strs("t", &["X", "Y"], &[]).unwrap();
         let f = Fd::parse(r.schema(), "X -> Y").unwrap();
-        let m = Measures::compute(&r, &f, &mut DistinctCache::new());
+        let m = Measures::compute(&r, &f, &DistinctCache::new());
         assert_eq!(m.confidence, 1.0);
         assert!(m.is_exact());
         assert_eq!(m.goodness, 0);
@@ -213,19 +197,19 @@ mod tests {
     fn inconsistency_complements_confidence() {
         let r = rel();
         let f = Fd::parse(r.schema(), "X -> Y").unwrap();
-        let m = Measures::compute(&r, &f, &mut DistinctCache::new());
+        let m = Measures::compute(&r, &f, &DistinctCache::new());
         assert!((m.inconsistency() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn cache_is_reused_across_fds() {
         let r = rel();
-        let mut cache = DistinctCache::new();
+        let cache = DistinctCache::new();
         let f1 = Fd::parse(r.schema(), "X -> Y").unwrap();
         let f2 = Fd::parse(r.schema(), "X -> Z").unwrap();
-        Measures::compute(&r, &f1, &mut cache);
+        Measures::compute(&r, &f1, &cache);
         let before = cache.stats().hits;
-        Measures::compute(&r, &f2, &mut cache); // |π_X| shared
+        Measures::compute(&r, &f2, &cache); // |π_X| shared
         assert!(cache.stats().hits > before);
     }
 }

@@ -81,7 +81,7 @@ pub fn order_fds(
     rel: &Relation,
     fds: &[Fd],
     mode: ConflictMode,
-    cache: &mut DistinctCache,
+    cache: &DistinctCache,
 ) -> Vec<RankedFd> {
     let mut ranked: Vec<RankedFd> = fds
         .iter()

@@ -21,9 +21,9 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::time::{Duration, Instant};
 
-use evofd_storage::{AttrSet, DistinctCache, Relation, SharedDistinctCache};
+use evofd_storage::{AttrSet, DistinctCache, Relation};
 
-use crate::candidates::{candidate_pool, extend_by_one_shared, Candidate};
+use crate::candidates::{candidate_pool, extend_by_one, Candidate};
 use crate::error::{FdError, Result};
 use crate::fd::Fd;
 use crate::measures::Measures;
@@ -86,11 +86,11 @@ impl RepairConfig {
         RepairConfig::default()
     }
 
-    fn new_cache(&self) -> SharedDistinctCache {
+    fn new_cache(&self) -> DistinctCache {
         if self.use_cache {
-            SharedDistinctCache::new()
+            DistinctCache::new()
         } else {
-            SharedDistinctCache::disabled()
+            DistinctCache::disabled()
         }
     }
 }
@@ -191,7 +191,7 @@ impl Ord for QueueEntry {
 /// Returns [`FdError::AlreadySatisfied`] if the FD is exact on `rel`.
 pub fn repair_fd(rel: &Relation, fd: &Fd, config: &RepairConfig) -> Result<RepairSearch> {
     let cache = config.new_cache();
-    let original_measures = Measures::compute_shared(rel, fd, &cache);
+    let original_measures = Measures::compute(rel, fd, &cache);
     if original_measures.is_exact() {
         return Err(FdError::AlreadySatisfied { fd: fd.display(rel.schema()) });
     }
@@ -203,7 +203,7 @@ fn run_search(
     fd: &Fd,
     original_measures: Measures,
     config: &RepairConfig,
-    cache: SharedDistinctCache,
+    cache: DistinctCache,
 ) -> RepairSearch {
     let start = Instant::now();
     let mut stats = SearchStats::default();
@@ -216,7 +216,7 @@ fn run_search(
 
     // Seed: all one-attribute extensions (Algorithm 3, lines 1–2).
     stats.expansions += 1;
-    for candidate in extend_by_one_shared(rel, fd, &pool, &cache) {
+    for candidate in extend_by_one(rel, fd, &pool, &cache) {
         let added = AttrSet::single(candidate.attr);
         visited.insert(added.clone());
         stats.generated += 1;
@@ -263,7 +263,7 @@ fn run_search(
         }
         stats.expansions += 1;
         let remaining = pool.difference(candidate.fd.lhs());
-        for next in extend_by_one_shared(rel, &candidate.fd, &remaining, &cache) {
+        for next in extend_by_one(rel, &candidate.fd, &remaining, &cache) {
             let next_added = added.with(next.attr);
             if !visited.insert(next_added.clone()) {
                 stats.deduped += 1;
@@ -306,15 +306,12 @@ impl FdOutcome {
 /// per-FD searches are independent and fan out across the `mintpool`
 /// width; outcomes come back in rank order either way.
 pub fn find_fd_repairs(rel: &Relation, fds: &[Fd], config: &RepairConfig) -> Vec<FdOutcome> {
-    let mut order_cache =
-        if config.use_cache { DistinctCache::new() } else { DistinctCache::disabled() };
-    let ranked = order_fds(rel, fds, config.conflict_mode, &mut order_cache);
+    let ranked = order_fds(rel, fds, config.conflict_mode, &config.new_cache());
     mintpool::par_map(&ranked, |ranked| {
         let search = if ranked.measures.is_exact() {
             None
         } else {
-            let fd_cache = config.new_cache();
-            Some(run_search(rel, &ranked.fd, ranked.measures, config, fd_cache))
+            Some(run_search(rel, &ranked.fd, ranked.measures, config, config.new_cache()))
         };
         FdOutcome { ranked: ranked.clone(), search }
     })

@@ -33,9 +33,9 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::ops::Range;
 
+use evofd_storage::fastkey::{key, packed_key, FastMap, GroupRhs, Key, KeyMap, PACK_MAX_ATTRS};
 use evofd_storage::{AttrId, AttrSet, Relation, NULL_CODE};
 
-use crate::fastkey::{key, packed_key, FastMap, GroupRhs, Key, KeyMap};
 use crate::fd::Fd;
 use crate::measures::Measures;
 use crate::repair::{Repair, RepairConfig, SearchMode};
@@ -416,7 +416,8 @@ impl RepairIndex {
 
     /// True when the consequent's key qualifies for packing.
     fn rhs_packable(&self) -> bool {
-        self.rhs_attrs.len() <= 4 && self.rhs_attrs.iter().all(|a| self.pack_ok[a.index()])
+        self.rhs_attrs.len() <= PACK_MAX_ATTRS
+            && self.rhs_attrs.iter().all(|a| self.pack_ok[a.index()])
     }
 
     /// Both representations of one row's Y-projection key.
@@ -476,8 +477,9 @@ impl RepairIndex {
                 let rhs_keys: Vec<RowRhs> = live.iter().map(|&r| self.row_rhs(rel, r)).collect();
                 let built: Vec<Node> = mintpool::par_map(&missing, |added| {
                     let lhs: Vec<AttrId> = fd.lhs().union(added).iter().collect();
-                    let packed =
-                        rhs_packable && lhs.len() <= 4 && lhs.iter().all(|a| pack_ok[a.index()]);
+                    let packed = rhs_packable
+                        && lhs.len() <= PACK_MAX_ATTRS
+                        && lhs.iter().all(|a| pack_ok[a.index()]);
                     let counter = if packed {
                         Counter::Packed(PairCounter::default())
                     } else {

@@ -3,10 +3,11 @@
 //!
 //! Validation is embarrassingly parallel across FDs: every status is an
 //! independent triple of distinct counts. [`validate`] fans the FD set out
-//! over the `mintpool` width with one shared, shard-locked count cache, so
-//! overlapping attribute sets are still only counted once.
+//! over the `mintpool` width (inline at width 1) with one shared
+//! [`DistinctCache`], so overlapping attribute sets are counted once
+//! whichever task gets there first.
 
-use evofd_storage::{Relation, SharedDistinctCache};
+use evofd_storage::{DistinctCache, Relation};
 
 use crate::fd::Fd;
 use crate::measures::Measures;
@@ -62,10 +63,10 @@ impl ValidationReport {
 /// are checked in parallel when the `mintpool` width allows; statuses
 /// come back in input order regardless.
 pub fn validate(rel: &Relation, fds: &[Fd]) -> ValidationReport {
-    let cache = SharedDistinctCache::new();
+    let cache = DistinctCache::new();
     let statuses = mintpool::par_map(fds, |fd| FdStatus {
         fd: fd.clone(),
-        measures: Measures::compute_shared(rel, fd, &cache),
+        measures: Measures::compute(rel, fd, &cache),
     });
     ValidationReport { statuses, row_count: rel.row_count() }
 }

@@ -592,14 +592,14 @@ mod tests {
         assert_eq!(r.row_count(), 11);
         assert_eq!(r.arity(), 9);
         let fds = places_fds(&r);
-        let mut cache = DistinctCache::new();
-        let m1 = Measures::compute(&r, &fds[0], &mut cache);
+        let cache = DistinctCache::new();
+        let m1 = Measures::compute(&r, &fds[0], &cache);
         assert!((m1.confidence - 0.5).abs() < 1e-12, "cF1 = 0.5, got {}", m1.confidence);
         assert_eq!(m1.goodness, -2, "gF1 = -2");
-        let m2 = Measures::compute(&r, &fds[1], &mut cache);
+        let m2 = Measures::compute(&r, &fds[1], &cache);
         assert!((m2.confidence - 2.0 / 3.0).abs() < 1e-3, "cF2 = 0.667, got {}", m2.confidence);
         assert_eq!(m2.goodness, -1, "gF2 = -1");
-        let m3 = Measures::compute(&r, &fds[2], &mut cache);
+        let m3 = Measures::compute(&r, &fds[2], &cache);
         assert!((m3.confidence - 8.0 / 9.0).abs() < 1e-3, "cF3 = 0.889, got {}", m3.confidence);
         assert_eq!(m3.goodness, 1, "gF3 = 1");
     }
@@ -608,8 +608,8 @@ mod tests {
     fn places_f4_measures() {
         let r = places();
         let f4 = places_f4(&r);
-        let mut cache = DistinctCache::new();
-        let m = Measures::compute(&r, &f4, &mut cache);
+        let cache = DistinctCache::new();
+        let m = Measures::compute(&r, &f4, &cache);
         assert!((m.confidence - 2.0 / 7.0).abs() < 1e-12, "cF4 = 0.29");
         assert_eq!(m.goodness, -4, "gF4 = -4");
     }

@@ -9,9 +9,11 @@
 //!
 //! ## Representations
 //!
-//! The tracker reuses the [`evofd_core::fastkey`] machinery that took the
-//! repair index from 3× to 20×+ and picks the cheapest faithful state per
-//! FD, falling back losslessly when the data stops qualifying:
+//! The tracker reuses the [`evofd_storage::fastkey`] machinery — the same
+//! keys and hasher behind the batch counting kernel
+//! (`evofd_storage::count_distinct`) and the repair index — and picks the
+//! cheapest faithful state per FD, falling back losslessly when the data
+//! stops qualifying:
 //!
 //! * **Packed** — antecedent and consequent each at most four attributes,
 //!   every key column NULL-free with a sub-2^16 dictionary: keys fold
@@ -35,13 +37,12 @@
 
 use std::hash::Hasher as _;
 
-use evofd_core::fastkey::{key, try_packed_key, unpack_key, FastMap, GroupRhs, Key};
-use evofd_core::{CodeHasher, Fd, Measures};
+use evofd_core::{Fd, Measures};
+use evofd_storage::fastkey::{
+    key, packable_column, try_packed_key, unpack_key, CodeHasher, FastMap, FastSet, GroupRhs, Key,
+    PACK_MAX_ATTRS,
+};
 use evofd_storage::{AttrId, Relation};
-
-/// Widest attribute set (antecedent or consequent) that can fold into a
-/// single packed `u64` word at 16 bits per code.
-const PACK_MAX_ATTRS: usize = 4;
 
 /// Inserts between memory-limit checks (power of two; the check costs a
 /// few arithmetic ops over map capacities, this just keeps it off the
@@ -52,9 +53,6 @@ const DEGRADE_CHECK_MASK: usize = 0x3FF;
 const SALT_LHS: u8 = 1;
 const SALT_PAIR: u8 = 2;
 const SALT_RHS: u8 = 3;
-
-/// Hash-set with the fast code hasher.
-type FastSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<CodeHasher>>;
 
 /// One antecedent group: how many live tuples carry this X-projection and
 /// how they distribute over Y-projections (tiered: see [`GroupRhs`]).
@@ -370,10 +368,7 @@ impl FdTracker {
         // If a key column already holds NULLs or a wide dictionary, start
         // General instead of inserting packed and converting mid-build.
         if matches!(t.state, State::Packed(_)) {
-            let packable = t.lhs.iter().chain(&t.rhs).all(|&a| {
-                let col = rel.column(a);
-                col.null_count() == 0 && col.dict().len() < (1 << 16)
-            });
+            let packable = t.lhs.iter().chain(&t.rhs).all(|&a| packable_column(rel.column(a)));
             if !packable {
                 t.state = State::General(CountState::default());
             }
@@ -813,7 +808,7 @@ mod tests {
     }
 
     fn check_against_full(tracker: &FdTracker, rel: &Relation, fd: &Fd) {
-        let full = Measures::compute(rel, fd, &mut evofd_storage::DistinctCache::new());
+        let full = Measures::compute(rel, fd, &evofd_storage::DistinctCache::new());
         assert_eq!(tracker.measures(), full);
         let report = violations(rel, fd);
         assert_eq!(tracker.violating_groups(), report.groups.len());

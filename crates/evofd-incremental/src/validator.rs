@@ -797,13 +797,13 @@ mod tests {
         let mut cache = DistinctCache::new();
         cache.sync_epoch(live.epoch());
         let snap = live.snapshot();
-        let m0 = Measures::compute(&snap, &v.fds()[0].clone(), &mut cache);
+        let m0 = Measures::compute(&snap, &v.fds()[0].clone(), &cache);
         assert_eq!(m0, v.measures(0));
         let applied = live.apply(&Delta::inserting(vec![srow("a", "9", "p")])).unwrap();
         v.apply(&live, &applied);
         assert!(cache.sync_epoch(live.epoch()), "cache invalidated by mutation");
         let snap = live.snapshot();
-        let m1 = Measures::compute(&snap, &v.fds()[0].clone(), &mut cache);
+        let m1 = Measures::compute(&snap, &v.fds()[0].clone(), &cache);
         assert_eq!(m1, v.measures(0));
     }
 }

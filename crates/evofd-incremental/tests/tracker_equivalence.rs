@@ -156,9 +156,9 @@ fn run_scenario(sc: &Scenario) -> Result<(), TestCaseError> {
 
         // Batch oracle on a canonical snapshot.
         let snap = live_a.snapshot();
-        let mut cache = DistinctCache::new();
+        let cache = DistinctCache::new();
         for (i, fd) in fds.iter().enumerate() {
-            let m = Measures::compute(&snap, fd, &mut cache);
+            let m = Measures::compute(&snap, fd, &cache);
             prop_assert_eq!(va.measures(i), m);
             prop_assert_eq!(vb.measures(i), m);
             let report = violations(&snap, fd);
@@ -224,6 +224,6 @@ fn dictionary_growth_invalidates_packing_mid_stream() {
     assert_eq!(fresh.tracker_repr(0), "general");
     assert_eq!(v.export_trackers(), fresh.export_trackers());
     let snap = live.snapshot();
-    let m = Measures::compute(&snap, &fds[0], &mut DistinctCache::new());
+    let m = Measures::compute(&snap, &fds[0], &DistinctCache::new());
     assert_eq!(v.measures(0), m);
 }

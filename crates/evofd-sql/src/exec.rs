@@ -837,8 +837,8 @@ impl Engine {
                 let rel = self.catalog.get(table)?;
                 let parsed = evofd_core::Fd::parse(rel.schema(), fd)
                     .map_err(|e| SqlError::Eval { message: format!("CHECK FD: {e}") })?;
-                let mut cache = evofd_storage::DistinctCache::new();
-                let m = evofd_core::Measures::compute(rel, &parsed, &mut cache);
+                let cache = evofd_storage::DistinctCache::new();
+                let m = evofd_core::Measures::compute(rel, &parsed, &cache);
                 let headers =
                     ["fd", "confidence", "goodness", "satisfied"].map(String::from).to_vec();
                 let row = vec![

@@ -138,7 +138,8 @@ impl Column {
         self.codes[row]
     }
 
-    /// The raw code slice (hot path for partition refinement).
+    /// The raw code slice (hot path for partition refinement and for
+    /// building group keys).
     pub fn codes(&self) -> &[u32] {
         &self.codes
     }

@@ -4,22 +4,27 @@
 //! counting distinct projections, which the paper computes with
 //! `SELECT COUNT(DISTINCT …)`. We provide:
 //!
-//! * [`count_distinct`] — partition-refinement counting on dictionary codes
-//!   (the fast path);
+//! * [`count_distinct`] — the one counting kernel: a hash set of
+//!   dictionary-code tuples on the [`crate::fastkey`] machinery the
+//!   incremental trackers and the repair index also use (packed `u64`
+//!   keys when every column qualifies, inline/boxed
+//!   [`Key`](crate::fastkey::Key)s otherwise);
 //! * [`count_distinct_naive`] — row-hashing over materialised values (the
 //!   oracle used by tests and the ablation benchmark);
-//! * [`DistinctCache`] — a memo table keyed by [`AttrSet`], because the
-//!   repair search re-uses counts such as `|π_X|`, `|π_XA|`, `|π_XAY|`
-//!   across queue expansions.
+//! * [`DistinctCache`] — a thread-safe memo keyed by [`AttrSet`], because
+//!   the repair search re-uses counts such as `|π_X|`, `|π_XA|`, `|π_XAY|`
+//!   across queue expansions, and the `mintpool` fan-outs (validation,
+//!   discovery levels, candidate scoring) share one memo across tasks.
+//!
+//! The kernel itself is sequential; parallelism lives one level up, in
+//! those fan-outs over independent counts.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use crate::attrset::AttrSet;
-use crate::partition::Partition;
+use crate::attrset::{AttrId, AttrSet};
+use crate::fastkey::{key, packable_column, packed_key, FastSet, PACK_MAX_ATTRS};
 use crate::relation::Relation;
 use crate::value::Value;
 
@@ -33,16 +38,43 @@ pub fn count_distinct(rel: &Relation, attrs: &AttrSet) -> usize {
     if rel.row_count() == 0 {
         return 0;
     }
-    // Single-attribute fast path: the dictionary already knows the answer.
-    if attrs.len() == 1 {
-        return rel.column(attrs.first().expect("len checked")).distinct_with_null();
+    let ids: Vec<AttrId> = attrs.iter().collect();
+    match ids.as_slice() {
+        [] => 1,
+        // Single-attribute fast path: the dictionary already knows the answer.
+        &[a] => rel.column(a).distinct_with_null(),
+        _ if ids.len() <= PACK_MAX_ATTRS && ids.iter().all(|&a| packable_column(rel.column(a))) => {
+            count_keys(rel, &ids, packed_key)
+        }
+        // The NULL sentinel is an ordinary code here: one group per column.
+        _ => count_keys(rel, &ids, key),
     }
-    Partition::by_attrs(rel, attrs).n_classes()
+}
+
+/// Collect every row's code key into one set and return its size. The set
+/// is sized up front to the smaller of the row count and the product of
+/// the columns' distinct counts (both bound the answer), so it never
+/// rehashes.
+fn count_keys<K: std::hash::Hash + Eq>(
+    rel: &Relation,
+    ids: &[AttrId],
+    key_of: impl Fn(&Relation, &[AttrId], usize) -> K,
+) -> usize {
+    let n = rel.row_count();
+    let bound = ids
+        .iter()
+        .try_fold(1usize, |acc, &a| acc.checked_mul(rel.column(a).distinct_with_null()))
+        .map_or(n, |product| product.min(n));
+    let mut seen: FastSet<K> = FastSet::with_capacity_and_hasher(bound, Default::default());
+    for row in 0..n {
+        seen.insert(key_of(rel, ids, row));
+    }
+    seen.len()
 }
 
 /// Reference implementation: hash the materialised value tuples.
-/// Quadratically slower in attribute count than [`count_distinct`]; kept as
-/// a correctness oracle and ablation subject.
+/// Far slower than [`count_distinct`]; kept as a correctness oracle and
+/// ablation subject.
 pub fn count_distinct_naive(rel: &Relation, attrs: &AttrSet) -> usize {
     if rel.row_count() == 0 {
         return 0;
@@ -60,7 +92,7 @@ pub fn count_distinct_naive(rel: &Relation, attrs: &AttrSet) -> usize {
 pub struct CacheStats {
     /// Lookups answered from the memo.
     pub hits: u64,
-    /// Lookups that had to compute a partition.
+    /// Lookups that had to run the counting kernel.
     pub misses: u64,
 }
 
@@ -76,11 +108,18 @@ impl CacheStats {
     }
 }
 
-/// Memo table for distinct counts over one relation instance.
+/// Memo table for distinct counts over one relation instance, shared by
+/// reference across `mintpool` tasks.
 ///
-/// The cache is tied to a **snapshot** of the relation. Historically
-/// callers had to remember to drop it when the relation changed — a silent
-/// staleness hazard once relations became mutable. The cache is therefore
+/// [`DistinctCache::count`] takes `&self`: the memo sits behind one mutex
+/// and counts are computed *outside* the lock. Two racing tasks may both
+/// compute the same count (both arriving at the identical value, since
+/// counting is deterministic), which is cheaper than serialising every
+/// count behind the lock. Hit/miss counters are atomics, so totals are
+/// exact, though at widths above 1 the split between hits and misses can
+/// vary with the interleaving.
+///
+/// The cache is tied to a **snapshot** of the relation. It is
 /// *epoch-aware*: it records the epoch of the contents it memoised, and
 /// [`DistinctCache::sync_epoch`] (or an explicit
 /// [`DistinctCache::invalidate`]) clears the memo whenever the underlying
@@ -90,9 +129,10 @@ impl CacheStats {
 /// comparable work.
 #[derive(Debug)]
 pub struct DistinctCache {
-    memo: HashMap<AttrSet, usize>,
+    memo: Mutex<HashMap<AttrSet, usize>>,
     enabled: bool,
-    stats: CacheStats,
+    hits: AtomicU64,
+    misses: AtomicU64,
     /// Source epoch the memoised contents correspond to; `None` means
     /// "not synced to any epoch" (fresh or explicitly invalidated), so the
     /// next [`DistinctCache::sync_epoch`] always clears.
@@ -103,21 +143,23 @@ impl DistinctCache {
     /// An enabled cache (not yet synced to any source epoch).
     pub fn new() -> DistinctCache {
         DistinctCache {
-            memo: HashMap::new(),
+            memo: Mutex::new(HashMap::new()),
             enabled: true,
-            stats: CacheStats::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             epoch: None,
         }
     }
 
     /// A pass-through cache that never memoises (ablation mode).
     pub fn disabled() -> DistinctCache {
-        DistinctCache {
-            memo: HashMap::new(),
-            enabled: false,
-            stats: CacheStats::default(),
-            epoch: None,
-        }
+        DistinctCache { enabled: false, ..DistinctCache::new() }
+    }
+
+    /// The memo, whatever a panicking holder left behind: entries are
+    /// inserted whole, so a poisoned map is still consistent.
+    fn memo(&self) -> MutexGuard<'_, HashMap<AttrSet, usize>> {
+        self.memo.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The source epoch of the contents currently memoised, if the cache
@@ -132,7 +174,7 @@ impl DistinctCache {
     /// hands out epochs, so `invalidate` can never collide with a future
     /// [`DistinctCache::sync_epoch`].)
     pub fn invalidate(&mut self) {
-        self.memo.clear();
+        self.clear();
         self.epoch = None;
     }
 
@@ -142,7 +184,7 @@ impl DistinctCache {
     /// no-op. Returns true if the cache was invalidated.
     pub fn sync_epoch(&mut self, source_epoch: u64) -> bool {
         if self.epoch != Some(source_epoch) {
-            self.memo.clear();
+            self.clear();
             self.epoch = Some(source_epoch);
             true
         } else {
@@ -150,104 +192,11 @@ impl DistinctCache {
         }
     }
 
-    /// `|π_attrs(rel)|`, memoised.
-    pub fn count(&mut self, rel: &Relation, attrs: &AttrSet) -> usize {
-        if self.enabled {
-            if let Some(&n) = self.memo.get(attrs) {
-                self.stats.hits += 1;
-                return n;
-            }
-        }
-        self.stats.misses += 1;
-        let n = count_distinct(rel, attrs);
-        if self.enabled {
-            self.memo.insert(attrs.clone(), n);
-        }
-        n
-    }
-
-    /// Number of memoised entries.
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True iff nothing is memoised.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Drop all memoised entries (keep counters).
-    pub fn clear(&mut self) {
-        self.memo.clear();
-    }
-}
-
-impl Default for DistinctCache {
-    fn default() -> Self {
-        DistinctCache::new()
-    }
-}
-
-/// Number of independently locked shards in a [`SharedDistinctCache`].
-const CACHE_SHARDS: usize = 16;
-
-/// A thread-safe distinct-count memo: the concurrent sibling of
-/// [`DistinctCache`], shared by reference across `mintpool` tasks.
-///
-/// The memo is split into [`CACHE_SHARDS`] mutex-guarded shards selected
-/// by the attribute set's hash, so concurrent lookups of different sets
-/// rarely contend. Counts are computed *outside* the shard lock — two
-/// racing tasks may both compute the same count (both arriving at the
-/// identical value, since counting is deterministic), which is cheaper
-/// than serialising every partition refinement behind a lock. Hit/miss
-/// counters are atomics and therefore exact, though their interleaving
-/// across threads is not deterministic.
-///
-/// Unlike [`DistinctCache`] this type carries no epoch: it is built for
-/// the scoped fan-outs in `evofd-core` (validation, discovery levels,
-/// repair searches), which snapshot one immutable relation for their
-/// whole lifetime.
-#[derive(Debug)]
-pub struct SharedDistinctCache {
-    shards: Vec<Mutex<HashMap<AttrSet, usize>>>,
-    enabled: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SharedDistinctCache {
-    /// An enabled concurrent cache.
-    pub fn new() -> SharedDistinctCache {
-        SharedDistinctCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            enabled: true,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// A pass-through cache that never memoises (ablation mode); misses
-    /// are still counted so work metrics stay comparable.
-    pub fn disabled() -> SharedDistinctCache {
-        SharedDistinctCache { enabled: false, ..SharedDistinctCache::new() }
-    }
-
-    fn shard(&self, attrs: &AttrSet) -> &Mutex<HashMap<AttrSet, usize>> {
-        let mut hasher = DefaultHasher::new();
-        attrs.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % CACHE_SHARDS]
-    }
-
-    /// `|π_attrs(rel)|`, memoised. Takes `&self`: safe to call from any
-    /// number of tasks at once.
+    /// `|π_attrs(rel)|`, memoised. Safe to call from any number of tasks
+    /// at once.
     pub fn count(&self, rel: &Relation, attrs: &AttrSet) -> usize {
         if self.enabled {
-            if let Some(&n) = self.shard(attrs).lock().unwrap().get(attrs) {
+            if let Some(&n) = self.memo().get(attrs) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return n;
             }
@@ -255,22 +204,14 @@ impl SharedDistinctCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let n = count_distinct(rel, attrs);
         if self.enabled {
-            self.shard(attrs).lock().unwrap().insert(attrs.clone(), n);
+            self.memo().insert(attrs.clone(), n);
         }
         n
     }
 
-    /// Hit/miss counters (exact totals; cross-thread ordering unspecified).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of memoised entries across all shards.
+    /// Number of memoised entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.memo().len()
     }
 
     /// True iff nothing is memoised.
@@ -278,17 +219,23 @@ impl SharedDistinctCache {
         self.len() == 0
     }
 
-    /// Drop all memoised entries (keep counters).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap().clear();
+    /// Hit/miss counters.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
         }
+    }
+
+    /// Drop all memoised entries (keep counters).
+    pub fn clear(&mut self) {
+        self.memo.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }
 
-impl Default for SharedDistinctCache {
+impl Default for DistinctCache {
     fn default() -> Self {
-        SharedDistinctCache::new()
+        DistinctCache::new()
     }
 }
 
@@ -337,7 +284,7 @@ mod tests {
     fn cache_hits_and_misses() {
         let r = rel();
         let attrs = r.schema().attr_set(&["x", "y"]).unwrap();
-        let mut cache = DistinctCache::new();
+        let cache = DistinctCache::new();
         assert_eq!(cache.count(&r, &attrs), 3);
         assert_eq!(cache.count(&r, &attrs), 3);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
@@ -348,7 +295,7 @@ mod tests {
     fn disabled_cache_never_hits() {
         let r = rel();
         let attrs = r.schema().attr_set(&["x"]).unwrap();
-        let mut cache = DistinctCache::disabled();
+        let cache = DistinctCache::disabled();
         cache.count(&r, &attrs);
         cache.count(&r, &attrs);
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
@@ -396,44 +343,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_counts_and_memoises() {
+    fn cache_concurrent_access() {
         let r = rel();
-        let attrs = r.schema().attr_set(&["x", "y"]).unwrap();
-        let cache = SharedDistinctCache::new();
-        assert_eq!(cache.count(&r, &attrs), 3);
-        assert_eq!(cache.count(&r, &attrs), 3);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn shared_cache_agrees_with_sequential_cache() {
-        let r = rel();
-        let shared = SharedDistinctCache::new();
-        let mut seq = DistinctCache::new();
-        for names in [vec!["x"], vec!["y"], vec!["x", "y"]] {
-            let attrs = r.schema().attr_set(&names).unwrap();
-            assert_eq!(shared.count(&r, &attrs), seq.count(&r, &attrs), "attrs {names:?}");
-        }
-    }
-
-    #[test]
-    fn shared_cache_disabled_never_hits() {
-        let r = rel();
-        let attrs = r.schema().attr_set(&["x"]).unwrap();
-        let cache = SharedDistinctCache::disabled();
-        cache.count(&r, &attrs);
-        cache.count(&r, &attrs);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn shared_cache_concurrent_access() {
-        let r = rel();
-        let cache = SharedDistinctCache::new();
+        let cache = DistinctCache::new();
         let sets: Vec<_> = [vec!["x"], vec!["y"], vec!["x", "y"]]
             .iter()
             .map(|names| r.schema().attr_set(names).unwrap())
@@ -448,6 +360,9 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 3);
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 12, "every lookup is counted once");
+        assert!(stats.misses >= 3, "each set is counted at least once");
     }
 
     #[test]

@@ -1,35 +1,37 @@
-//! Shared group-key machinery for the engine's count-map hot paths.
+//! Group-key machinery for every code-keyed hash count in the engine.
 //!
-//! [`crate::RepairIndex`] (PR 5) and the incremental validator's per-FD
-//! trackers maintain the same kind of state: hash maps keyed by tuples of
-//! dictionary codes, probed once per changed row. Three representation
-//! choices dominate their cost and live here so both hot paths share
-//! them:
+//! [`crate::count_distinct`] (the batch counting kernel behind every CB
+//! measure), `evofd-core`'s repair index and `evofd-incremental`'s per-FD
+//! trackers all key hash maps or sets by tuples of dictionary codes. The
+//! representation choices that dominate their cost live here so all three
+//! share them:
 //!
 //! * [`CodeHasher`] — an FxHash-style multiplicative hasher replacing
-//!   SipHash on every map ([`FastMap`]). Dictionary codes are already
-//!   well distributed, so SipHash's DoS hardening only buys latency. The
-//!   xorshift-multiply finalizer is load-bearing: without it the low
-//!   bits — exactly the ones hashbrown picks buckets with — depend only
-//!   on the last written word (one column's dictionary), which once piled
-//!   19k keys into 86 buckets.
+//!   SipHash on every map ([`FastMap`], [`FastSet`]). Dictionary codes are
+//!   already well distributed, so SipHash's DoS hardening only buys
+//!   latency. The xorshift-multiply finalizer is load-bearing: without it
+//!   the low bits — exactly the ones hashbrown picks buckets with — depend
+//!   only on the last written word (one column's dictionary), which once
+//!   piled 19k keys into 86 buckets.
 //! * [`Key`] — a code tuple stored inline up to [`INLINE_KEY`] codes
 //!   (no heap traffic per row) and boxed beyond.
-//! * [`packed_key`] — up to four sub-2^16 codes folded into one `u64`,
-//!   shrinking map entries to cache-line size. Eligibility (NULL-free
-//!   columns, small dictionaries) is the *caller's* contract; the checked
-//!   [`try_packed_key`] variant detects ineligible rows for callers that
-//!   discover it mid-stream.
+//! * [`packed_key`] — up to [`PACK_MAX_ATTRS`] sub-2^16 codes folded into
+//!   one `u64`, shrinking map entries to cache-line size. Eligibility
+//!   ([`packable_column`] on every column) is the *caller's* contract; the
+//!   checked [`try_packed_key`] variant detects ineligible rows for callers
+//!   that discover it mid-stream.
 //! * [`GroupRhs`] — the One/Few/Many tiered consequent distribution of
 //!   one antecedent group. Almost every group maps to a **single**
 //!   Y-projection (that is what exactness means), so that case lives
 //!   inline in the parent map entry: one probe, no nested allocation.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use evofd_storage::{AttrId, Relation};
+use crate::attrset::AttrId;
+use crate::column::Column;
+use crate::relation::Relation;
 
 /// Codes a [`Key`] can hold inline — covers every `X∪S∪Y` tuple up to
 /// eight attributes without touching the heap (the overwhelmingly common
@@ -67,6 +69,7 @@ impl Key {
     }
 
     /// The meaningful codes of this key, in attribute order.
+    #[inline]
     pub fn codes(&self) -> &[u32] {
         match self {
             Key::Inline { len, codes } => &codes[..*len as usize],
@@ -158,12 +161,26 @@ impl Hasher for CodeHasher {
 
 /// Hash map with the fast code hasher.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<CodeHasher>>;
+/// Hash set with the fast code hasher.
+pub type FastSet<K> = HashSet<K, BuildHasherDefault<CodeHasher>>;
 /// Hash map keyed by [`Key`] with the fast code hasher.
 pub type KeyMap<V> = FastMap<Key, V>;
 
-/// Fold up to four sub-2^16 codes into one word. The caller guarantees
-/// eligibility (every column NULL-free with a sub-2^16 dictionary); use
+/// Most codes one [`packed_key`] word holds, at 16 bits per code.
+pub const PACK_MAX_ATTRS: usize = 4;
+
+/// True iff `col`'s codes can go into a [`packed_key`]: the column is
+/// NULL-free (the NULL sentinel has all high bits set) and its dictionary
+/// stays under 2^16 entries.
+#[inline]
+pub fn packable_column(col: &Column) -> bool {
+    col.null_count() == 0 && col.dict().len() < (1 << 16)
+}
+
+/// Fold up to [`PACK_MAX_ATTRS`] sub-2^16 codes into one word. The caller
+/// guarantees eligibility ([`packable_column`] on every column); use
 /// [`try_packed_key`] when a row may violate it.
+#[inline]
 pub fn packed_key(rel: &Relation, attrs: &[AttrId], row: usize) -> u64 {
     let mut v = 0u64;
     for &a in attrs {
@@ -199,6 +216,7 @@ pub fn unpack_key(v: u64, len: usize) -> Vec<u32> {
 }
 
 /// The generic group key of a row: its dictionary codes over `attrs`.
+#[inline]
 pub fn key(rel: &Relation, attrs: &[AttrId], row: usize) -> Key {
     if attrs.len() <= INLINE_KEY {
         let mut codes = [0u32; INLINE_KEY];

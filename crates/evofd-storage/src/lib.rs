@@ -11,8 +11,10 @@
 //! * typed values with total ordering/hashing ([`value`]),
 //! * schemas and attribute bitsets ([`schema`], [`attrset`]),
 //! * dictionary-encoded columns and relations ([`mod@column`], [`relation`]),
+//! * distinct counting — one hash kernel over dictionary codes — with a
+//!   thread-safe memo ([`distinct`]), on the group-key machinery it shares
+//!   with the repair index and the incremental trackers ([`fastkey`]),
 //! * partitions — the paper's clusterings — via refinement ([`partition`]),
-//! * distinct counting with memoisation ([`distinct`]),
 //! * per-column statistics, CSV I/O and a table catalog
 //!   ([`stats`], [`csv`], [`catalog`]).
 
@@ -24,6 +26,7 @@ pub mod column;
 pub mod csv;
 pub mod distinct;
 pub mod error;
+pub mod fastkey;
 pub mod partition;
 pub mod relation;
 pub mod schema;
@@ -37,9 +40,7 @@ pub use csv::{
     parse_cell, read_csv_path, read_csv_records, read_csv_str, read_csv_str_chunked,
     read_csv_str_with_schema, write_csv_path, write_csv_str, CsvOptions,
 };
-pub use distinct::{
-    count_distinct, count_distinct_naive, CacheStats, DistinctCache, SharedDistinctCache,
-};
+pub use distinct::{count_distinct, count_distinct_naive, CacheStats, DistinctCache};
 pub use error::{Result, StorageError};
 pub use partition::Partition;
 pub use relation::{relation_of_strs, Relation, RelationBuilder};

@@ -10,22 +10,15 @@
 //! NULL semantics: all NULL cells of a column carry the same sentinel code,
 //! so NULL rows group together — matching SQL `GROUP BY` (one NULL class).
 //!
-//! Large multi-attribute partitions are refined **in parallel**: rows are
-//! split into chunks, each chunk refined independently on a `mintpool`
-//! worker, and the per-chunk label maps merged by a dense relabel keyed on
-//! one representative row per chunk-class. The merge assigns global labels
-//! in first-occurrence row order, so the parallel result is *identical*
-//! (not merely equivalent) to the sequential one at any thread count.
+//! Partitions are for callers whose output *is* a clustering: the
+//! clustering view, violation evidence, conditional FDs and the entropy
+//! baseline. Counting classes alone is [`crate::count_distinct`]'s job;
+//! its hash kernel never materialises per-row labels.
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use crate::attrset::AttrSet;
 use crate::relation::Relation;
-
-/// Rows below this stay on the sequential path: chunk + merge overhead
-/// only pays off once each chunk holds thousands of rows.
-const PAR_ROW_THRESHOLD: usize = 8192;
 
 /// A partition of rows `0..n` into `n_classes` classes with dense labels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,111 +86,12 @@ impl Partition {
     ///
     /// Refines column-by-column in ascending attribute order; the resulting
     /// class count equals the number of distinct `attrs`-projections.
-    /// Large multi-attribute inputs fan out across the `mintpool` width;
-    /// the labels are identical to the sequential path either way.
     pub fn by_attrs(rel: &Relation, attrs: &AttrSet) -> Partition {
-        if attrs.len() >= 2 && rel.row_count() >= PAR_ROW_THRESHOLD && mintpool::threads() > 1 {
-            return Partition::by_attrs_parallel(rel, attrs);
-        }
-        Partition::by_attrs_sequential(rel, attrs)
-    }
-
-    fn by_attrs_sequential(rel: &Relation, attrs: &AttrSet) -> Partition {
         let mut p = Partition::unit(rel.row_count());
         for a in attrs.iter() {
             p = p.refine_by_codes(rel.column(a).codes());
         }
         p
-    }
-
-    /// The chunked-parallel construction behind [`Partition::by_attrs`],
-    /// callable directly (it ignores the size threshold, not the thread
-    /// width — property tests use it to pin parallel ≡ sequential).
-    pub fn by_attrs_parallel(rel: &Relation, attrs: &AttrSet) -> Partition {
-        let chunk =
-            rel.row_count().div_ceil(mintpool::threads().max(1).min(rel.row_count().max(1)));
-        Partition::by_attrs_chunked(rel, attrs, chunk.max(1))
-    }
-
-    /// Chunked refinement with an explicit chunk size (exposed so tests can
-    /// force multi-chunk merges on tiny relations).
-    pub fn by_attrs_chunked(rel: &Relation, attrs: &AttrSet, chunk: usize) -> Partition {
-        let n = rel.row_count();
-        if n == 0 || attrs.is_empty() {
-            return Partition::unit(n);
-        }
-        let cols: Vec<&[u32]> = attrs.iter().map(|a| rel.column(a).codes()).collect();
-        let chunk = chunk.max(1);
-        let ranges: Vec<Range<usize>> =
-            (0..n).step_by(chunk).map(|s| s..(s + chunk).min(n)).collect();
-
-        // Phase 1 (parallel): refine each chunk independently. A chunk's
-        // final local labels are dense in first-occurrence row order, and
-        // `reps[l]` records the first physical row of local class `l`.
-        struct ChunkLabels {
-            labels: Vec<u32>,
-            reps: Vec<u32>,
-        }
-        let parts: Vec<ChunkLabels> = mintpool::par_map(&ranges, |range| {
-            let mut labels: Vec<u32> = Vec::with_capacity(range.len());
-            let mut map1: HashMap<u32, u32> = HashMap::new();
-            for row in range.clone() {
-                let next = map1.len() as u32;
-                labels.push(*map1.entry(cols[0][row]).or_insert(next));
-            }
-            let mut n_classes = map1.len();
-            for col in &cols[1..] {
-                let mut map: HashMap<u64, u32> = HashMap::with_capacity(n_classes * 2);
-                for (i, row) in range.clone().enumerate() {
-                    let key = (u64::from(labels[i]) << 32) | u64::from(col[row]);
-                    let next = map.len() as u32;
-                    labels[i] = *map.entry(key).or_insert(next);
-                }
-                n_classes = map.len();
-            }
-            let mut reps: Vec<u32> = vec![u32::MAX; n_classes];
-            for (i, row) in range.clone().enumerate() {
-                let slot = &mut reps[labels[i] as usize];
-                if *slot == u32::MAX {
-                    *slot = row as u32;
-                }
-            }
-            ChunkLabels { labels, reps }
-        });
-
-        // Phase 2 (sequential, O(classes)): dense relabel. Walking chunks
-        // in row order and local classes in creation order visits class
-        // representatives in global first-occurrence order, so the dense
-        // ids come out exactly as the sequential refinement would assign
-        // them. Representatives are compared by their full code tuple.
-        let mut global: HashMap<Box<[u32]>, u32> = HashMap::new();
-        let maps: Vec<Vec<u32>> = parts
-            .iter()
-            .map(|part| {
-                part.reps
-                    .iter()
-                    .map(|&rep| {
-                        let key: Box<[u32]> = cols.iter().map(|col| col[rep as usize]).collect();
-                        let next = global.len() as u32;
-                        *global.entry(key).or_insert(next)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Phase 3 (parallel): rewrite local labels to global ones; output
-        // chunks are disjoint `chunks_mut` slices, so no synchronisation.
-        let mut labels = vec![0u32; n];
-        mintpool::scope(|s| {
-            for (slice, (part, map)) in labels.chunks_mut(chunk).zip(parts.iter().zip(&maps)) {
-                s.spawn(move || {
-                    for (out, &local) in slice.iter_mut().zip(&part.labels) {
-                        *out = map[local as usize];
-                    }
-                });
-            }
-        });
-        Partition { labels, n_classes: global.len() }
     }
 
     /// Continue refining an existing partition by extra attributes of `rel`.
@@ -386,41 +280,5 @@ mod tests {
         let r = rel();
         let p = Partition::by_attrs(&r, &AttrSet::empty());
         assert_eq!(p.n_classes(), 1);
-    }
-
-    #[test]
-    fn chunked_labels_identical_to_sequential() {
-        let r = rel();
-        for names in [vec!["x", "y"], vec!["x", "z"], vec!["x", "y", "z"]] {
-            let attrs = r.schema().attr_set(&names).unwrap();
-            let seq = Partition::by_attrs_sequential(&r, &attrs);
-            // Chunk sizes from "one row per chunk" to "one chunk": every
-            // boundary must reproduce the sequential dense labels exactly.
-            for chunk in 1..=r.row_count() + 1 {
-                let par = Partition::by_attrs_chunked(&r, &attrs, chunk);
-                assert_eq!(par, seq, "attrs {names:?}, chunk {chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_handles_empty_and_single_attr() {
-        let e = relation_of_strs("t", &["x"], &[]).unwrap();
-        let attrs = e.schema().attr_set(&["x"]).unwrap();
-        assert_eq!(Partition::by_attrs_chunked(&e, &attrs, 4).n_classes(), 0);
-        let r = rel();
-        let x = r.schema().attr_set(&["x"]).unwrap();
-        assert_eq!(Partition::by_attrs_chunked(&r, &x, 2), Partition::by_attrs_sequential(&r, &x));
-        assert_eq!(Partition::by_attrs_chunked(&r, &AttrSet::empty(), 2).n_classes(), 1);
-    }
-
-    #[test]
-    fn parallel_entry_point_matches() {
-        let r = rel();
-        let attrs = r.schema().attr_set(&["x", "y"]).unwrap();
-        assert_eq!(
-            Partition::by_attrs_parallel(&r, &attrs),
-            Partition::by_attrs_sequential(&r, &attrs)
-        );
     }
 }

@@ -15,9 +15,9 @@ use evofd::prelude::*;
 
 fn candidate_table(rel: &Relation, fd: &Fd) -> TextTable {
     let pool = candidate_pool(rel, fd);
-    let mut cache = DistinctCache::new();
+    let cache = DistinctCache::new();
     let mut t = TextTable::new(["A", "confidence", "goodness"]);
-    for cand in extend_by_one(rel, fd, &pool, &mut cache) {
+    for cand in extend_by_one(rel, fd, &pool, &cache) {
         t.row([
             rel.schema().attr_name(cand.attr).to_string(),
             format_confidence(cand.measures.confidence),
@@ -34,8 +34,8 @@ fn main() {
 
     // ---- §4.1: in which order should violated FDs be repaired? ----
     println!("§4.1 FD ordering (rank = (inconsistency + conflict)/2):");
-    let mut cache = DistinctCache::new();
-    for ranked in order_fds(&places, &fds, ConflictMode::SharedConsequents, &mut cache) {
+    let cache = DistinctCache::new();
+    for ranked in order_fds(&places, &fds, ConflictMode::SharedConsequents, &cache) {
         println!(
             "  {:<40} c = {:<5} rank = {:.3}",
             ranked.fd.display(schema),

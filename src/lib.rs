@@ -34,7 +34,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `evofd-core` | FDs, measures, repair search, advisor loop |
-//! | [`storage`] | `evofd-storage` | relations, partitions, distinct counting |
+//! | [`storage`] | `evofd-storage` | relations, distinct counting, partitions |
 //! | [`incremental`] | `evofd-incremental` | live relations, delta-maintained measures, drift feed |
 //! | [`persist`] | `evofd-persist` | delta WAL, columnar snapshots, crash recovery |
 //! | [`baseline`] | `evofd-baseline` | entropy-based (Chiang–Miller) baseline |

@@ -61,9 +61,9 @@ fn arb_case() -> impl Strategy<Value = (Relation, Vec<Fd>, Vec<Op>)> {
 /// Assert the maintained state equals a from-scratch recompute.
 fn assert_equivalent(live: &LiveRelation, v: &IncrementalValidator) -> Result<(), TestCaseError> {
     let snap = live.snapshot();
-    let mut cache = DistinctCache::new();
+    let cache = DistinctCache::new();
     for (i, fd) in v.fds().iter().enumerate() {
-        let full = Measures::compute(&snap, fd, &mut cache);
+        let full = Measures::compute(&snap, fd, &cache);
         prop_assert_eq!(v.measures(i), full, "measures diverged for FD #{}", i);
         let report = violations(&snap, fd);
         let summary = v.summary(i);
@@ -196,9 +196,9 @@ fn datagen_seeded_replay_stays_equivalent() {
 
     let check = |live: &LiveRelation, v: &IncrementalValidator| {
         let snap = live.snapshot();
-        let mut cache = DistinctCache::new();
+        let cache = DistinctCache::new();
         for (i, fd) in v.fds().iter().enumerate() {
-            assert_eq!(v.measures(i), Measures::compute(&snap, fd, &mut cache), "FD #{i}");
+            assert_eq!(v.measures(i), Measures::compute(&snap, fd, &cache), "FD #{i}");
             let report = violations(&snap, fd);
             assert_eq!(v.summary(i).violating_groups, report.groups.len());
             assert_eq!(v.summary(i).violating_rows, report.violating_rows());

@@ -10,12 +10,12 @@ use evofd::datagen::{places, places_f4, places_fds};
 use evofd::storage::{AttrSet, DistinctCache, Relation};
 
 fn measures(rel: &Relation, fd: &Fd) -> Measures {
-    Measures::compute(rel, fd, &mut DistinctCache::new())
+    Measures::compute(rel, fd, &DistinctCache::new())
 }
 
 fn candidates_for(rel: &Relation, fd: &Fd) -> Vec<(String, f64, i64)> {
     let pool = candidate_pool(rel, fd);
-    extend_by_one(rel, fd, &pool, &mut DistinctCache::new())
+    extend_by_one(rel, fd, &pool, &DistinctCache::new())
         .into_iter()
         .map(|c| {
             (rel.schema().attr_name(c.attr).to_string(), c.measures.confidence, c.measures.goodness)
@@ -100,7 +100,7 @@ fn section41_ordering_and_ranks() {
     let fds = places_fds(&rel);
     // Under the consequent-overlap conflict mode the paper's exact rank
     // values come out: F1 0.25, F2 0.167, F3 0.056.
-    let ranked = order_fds(&rel, &fds, ConflictMode::SharedConsequents, &mut DistinctCache::new());
+    let ranked = order_fds(&rel, &fds, ConflictMode::SharedConsequents, &DistinctCache::new());
     assert_eq!(ranked[0].fd, fds[0]);
     assert_eq!(ranked[1].fd, fds[1]);
     assert_eq!(ranked[2].fd, fds[2]);
@@ -108,7 +108,7 @@ fn section41_ordering_and_ranks() {
     assert_close(ranked[1].rank, 0.167, "O_F2");
     assert_close(ranked[2].rank, 0.056, "O_F3");
     // The printed formula (shared XY attributes) yields the same order.
-    let ranked2 = order_fds(&rel, &fds, ConflictMode::SharedAttrs, &mut DistinctCache::new());
+    let ranked2 = order_fds(&rel, &fds, ConflictMode::SharedAttrs, &DistinctCache::new());
     let order: Vec<&Fd> = ranked2.iter().map(|r| &r.fd).collect();
     assert_eq!(order, vec![&fds[0], &fds[1], &fds[2]]);
 }

@@ -1,8 +1,8 @@
 //! Parallel ≡ sequential property tests for the `mintpool` execution
-//! layer: chunked partition refinement, FD validation, levelwise
-//! discovery and incremental tracker maintenance must produce **exactly**
-//! the sequential results at every thread width 1..=4 — labels, measures,
-//! mined FD lists and drift-event streams alike.
+//! layer: distinct counting, FD validation, levelwise discovery, repair
+//! search and incremental tracker maintenance must produce **exactly**
+//! the width-1 results at every thread width 1..=4 — counts, measures,
+//! mined FD lists, discovery work counters and drift-event streams alike.
 //!
 //! The width is process-global, so every test holds one lock while it
 //! sweeps (the other integration-test binaries run in their own
@@ -10,12 +10,11 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use evofd::core::{discover_fds, repair_fd, validate, DiscoveryConfig, Fd, RepairConfig};
-use evofd::incremental::{Delta, FdDrift, IncrementalValidator, LiveRelation};
-use evofd::storage::{
-    count_distinct, count_distinct_naive, AttrId, AttrSet, DataType, Field, Partition, Relation,
-    Schema, Value,
+use evofd::core::{
+    discover_fds, repair_fd, validate, DiscoveryConfig, DiscoveryResult, Fd, RepairConfig,
 };
+use evofd::incremental::{Delta, FdDrift, IncrementalValidator, LiveRelation};
+use evofd::storage::{count_distinct, AttrId, AttrSet, DataType, Field, Relation, Schema, Value};
 use proptest::prelude::*;
 
 /// Serialise width sweeps: `set_threads` is process-wide.
@@ -53,30 +52,21 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// Mined FDs, measures, truncation and work counters must all match the
+/// width-1 run.
+fn assert_same_discovery(mined: &DiscoveryResult, baseline: &DiscoveryResult, width: usize) {
+    assert_eq!(mined.fds.len(), baseline.fds.len(), "width {width}");
+    for (a, b) in mined.fds.iter().zip(&baseline.fds) {
+        assert_eq!(a.fd, b.fd, "width {width}");
+        assert_eq!(a.measures, b.measures, "width {width}");
+    }
+    assert_eq!(mined.truncated, baseline.truncated, "width {width}");
+    assert_eq!(mined.checks, baseline.checks, "checks at width {width}");
+    assert_eq!(mined.nodes_visited, baseline.nodes_visited, "nodes visited at width {width}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn partition_by_attrs_parallel_is_identical(rel in arb_relation(), mask in 1u8..31) {
-        let _g = width_lock();
-        let attrs = AttrSet::from_indices(
-            (0..rel.arity()).filter(|i| mask & (1 << i) != 0),
-        );
-        evofd::pool::set_threads(1);
-        let seq = Partition::by_attrs(&rel, &attrs);
-        sweep_widths(|width| {
-            // The public entry point (threshold-dispatched)…
-            assert_eq!(Partition::by_attrs(&rel, &attrs), seq, "by_attrs at width {width}");
-            // …and the chunked construction forced at every chunk size.
-            for chunk in [1, 2, 3, 7, rel.row_count().max(1)] {
-                let par = Partition::by_attrs_chunked(&rel, &attrs, chunk);
-                assert_eq!(par, seq, "chunk {chunk} at width {width}");
-            }
-        });
-        if !attrs.is_empty() {
-            prop_assert_eq!(seq.n_classes(), count_distinct_naive(&rel, &attrs));
-        }
-    }
 
     #[test]
     fn count_distinct_and_validate_identical_across_widths(rel in arb_relation()) {
@@ -110,21 +100,17 @@ proptest! {
     fn discovery_identical_across_widths(
         rel in arb_relation(),
         approximate in 0u8..2,
+        cap in 0usize..6,
     ) {
         let _g = width_lock();
         let min_confidence = if approximate == 0 { 1.0 } else { 0.7 };
-        let config = DiscoveryConfig { min_confidence, ..DiscoveryConfig::default() };
+        // A small `max_results` usually cuts the walk partway through a
+        // lattice node; 0 keeps the default (no cut).
+        let max_results = if cap == 0 { DiscoveryConfig::default().max_results } else { cap };
+        let config = DiscoveryConfig { min_confidence, max_results, ..DiscoveryConfig::default() };
         evofd::pool::set_threads(1);
         let baseline = discover_fds(&rel, &config);
-        sweep_widths(|width| {
-            let mined = discover_fds(&rel, &config);
-            assert_eq!(mined.fds.len(), baseline.fds.len(), "width {width}");
-            for (a, b) in mined.fds.iter().zip(&baseline.fds) {
-                assert_eq!(a.fd, b.fd, "width {width}");
-                assert_eq!(a.measures, b.measures, "width {width}");
-            }
-            assert_eq!(mined.truncated, baseline.truncated, "width {width}");
-        });
+        sweep_widths(|width| assert_same_discovery(&discover_fds(&rel, &config), &baseline, width));
     }
 
     #[test]
@@ -221,6 +207,25 @@ fn seeded_pipeline_identical_across_widths() {
             assert_eq!(a.fd, b.fd, "width {width}");
         }
     });
+}
+
+/// Discovery work counters on TPC-H lineitem (sf 0.001, antecedents up to
+/// 2 attributes) match width 1 when `max_results` cuts the walk partway
+/// through a lattice node, as well as when it does not.
+#[test]
+fn discovery_counters_identical_across_widths_on_lineitem() {
+    use evofd::datagen::{generate_table, TpchSpec, TpchTable};
+
+    let _g = width_lock();
+    let lineitem = generate_table(&TpchSpec::new(0.001), TpchTable::Lineitem);
+    for max_results in [1, 10, usize::MAX] {
+        let config = DiscoveryConfig { max_lhs: 2, max_results, ..DiscoveryConfig::default() };
+        evofd::pool::set_threads(1);
+        let baseline = discover_fds(&lineitem, &config);
+        sweep_widths(|width| {
+            assert_same_discovery(&discover_fds(&lineitem, &config), &baseline, width);
+        });
+    }
 }
 
 /// Parallel CSV ingest (chunked `RelationBuilder` coding + deterministic
