@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -186,13 +186,68 @@ impl Shared {
     }
 }
 
+/// How long shutdown waits for severed sessions to finish their current
+/// statement and exit.
+const SESSION_EXIT_WAIT: Duration = Duration::from_secs(10);
+
+/// The stop flag and the number of live session threads. It lives
+/// outside [`Shared`] so a session thread can be counted before it takes
+/// a reference to the engine.
+#[derive(Default)]
+struct Lifecycle {
+    stop: AtomicBool,
+    live: Mutex<usize>,
+    idle: Condvar,
+}
+
+impl Lifecycle {
+    fn lock_live(&self) -> MutexGuard<'_, usize> {
+        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Count a new session thread, or `None` once shutdown has begun.
+    /// The stop flag is read under the count's lock, so a session either
+    /// is counted before shutdown waits or never starts.
+    fn enter(&self) -> Option<LiveSession<'_>> {
+        let mut live = self.lock_live();
+        if self.stop.load(Ordering::SeqCst) {
+            return None;
+        }
+        *live += 1;
+        Some(LiveSession(self))
+    }
+
+    /// Wait (bounded) until every counted session thread has exited.
+    fn wait_idle(&self) {
+        let live = self.lock_live();
+        let _ = self
+            .idle
+            .wait_timeout_while(live, SESSION_EXIT_WAIT, |n| *n > 0)
+            .unwrap_or_else(|e| e.into_inner());
+    }
+}
+
+/// A counted session thread; dropping it uncounts the thread.
+struct LiveSession<'a>(&'a Lifecycle);
+
+impl Drop for LiveSession<'_> {
+    fn drop(&mut self) {
+        let mut live = self.0.lock_live();
+        *live -= 1;
+        if *live == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
 /// A running `evofd-server`: accept loop + event poller over one durable
 /// engine. Dropping it (or calling [`EvofdServer::shutdown`]) stops
-/// accepting, severs every live connection and joins the poller.
+/// accepting, severs every live connection, joins the poller and waits
+/// for the session threads to exit.
 pub struct EvofdServer {
     tcp: Option<TcpServer>,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
+    life: Arc<Lifecycle>,
     poller: Option<JoinHandle<()>>,
 }
 
@@ -213,29 +268,39 @@ impl EvofdServer {
             conn_counter: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
         });
-        let conn_shared = Arc::clone(&shared);
+        let life = Arc::new(Lifecycle::default());
+        let conn_life = Arc::clone(&life);
+        // Weak: the handler outlives each session on its thread, and only
+        // sessions may hold the engine, so that the engine is free once
+        // the live count reaches zero.
+        let conn_shared = Arc::downgrade(&shared);
         let tcp = spawn_listener(addr, "evofd-server", move |stream| {
+            let Some(_live) = conn_life.enter() else { return };
+            let Some(shared) = conn_shared.upgrade() else { return };
             // Small request/response frames: Nagle+delayed-ACK would add
             // ~40ms per round trip.
             stream.set_nodelay(true).ok();
-            let conn = conn_shared.conn_counter.fetch_add(1, Ordering::SeqCst);
-            if let Ok(clone) = stream.try_clone() {
-                conn_shared.lock_conns().push((conn, clone));
+            let conn = shared.conn_counter.fetch_add(1, Ordering::SeqCst);
+            let Ok(clone) = stream.try_clone() else { return };
+            shared.lock_conns().push((conn, clone));
+            if conn_life.stop.load(Ordering::SeqCst) {
+                // Shutdown severed the registered connections before this
+                // one was registered: sever it here.
+                let _ = stream.shutdown(Shutdown::Both);
             }
-            Session::new(Arc::clone(&conn_shared), conn).run(stream);
+            Session::new(shared, conn).run(stream);
         })?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let poll_stop = Arc::clone(&stop);
+        let poll_life = Arc::clone(&life);
         let poll_shared = Arc::clone(&shared);
         let interval = Duration::from_millis(opts.poll_ms.max(1));
         let poller =
             std::thread::Builder::new().name("evofd-server-poll".into()).spawn(move || {
-                while !poll_stop.load(Ordering::SeqCst) {
+                while !poll_life.stop.load(Ordering::SeqCst) {
                     poll_shared.poll_events();
                     std::thread::sleep(interval);
                 }
             })?;
-        Ok(EvofdServer { tcp: Some(tcp), shared, stop, poller: Some(poller) })
+        Ok(EvofdServer { tcp: Some(tcp), shared, life, poller: Some(poller) })
     }
 
     /// The bound address (port 0 resolved).
@@ -253,11 +318,12 @@ impl EvofdServer {
         self.shared.lock_acks().iter().map(|(t, f, s)| (t.to_string(), f.to_string(), s)).collect()
     }
 
-    /// Stop accepting, sever live connections, join the poller. The
-    /// engine keeps its durable state — restart by calling
-    /// [`EvofdServer::start`] on the same directory. Idempotent.
+    /// Stop accepting, sever live connections, join the poller and wait
+    /// for the session threads to exit. The engine keeps its durable
+    /// state — restart by calling [`EvofdServer::start`] on the same
+    /// directory. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.life.stop.store(true, Ordering::SeqCst);
         if let Some(mut tcp) = self.tcp.take() {
             tcp.shutdown();
         }
@@ -269,10 +335,12 @@ impl EvofdServer {
         if let Some(poller) = self.poller.take() {
             let _ = poller.join();
         }
+        self.life.wait_idle();
     }
 
     /// Shut down and hand back the engine **iff** this server holds the
-    /// only reference (every session thread has exited).
+    /// only reference (every session thread exited within the shutdown
+    /// wait).
     pub fn try_into_engine(mut self) -> Option<DurableEngine> {
         self.shutdown();
         let shared = Arc::clone(&self.shared);

@@ -14,7 +14,10 @@ use evofd::core::{
     discover_fds, repair_fd, validate, DiscoveryConfig, DiscoveryResult, Fd, RepairConfig,
 };
 use evofd::incremental::{Delta, FdDrift, IncrementalValidator, LiveRelation};
-use evofd::storage::{count_distinct, AttrId, AttrSet, DataType, Field, Relation, Schema, Value};
+use evofd::storage::{
+    count_distinct, count_distinct_naive, AttrId, AttrSet, DataType, Field, Partition, Relation,
+    Schema, Value,
+};
 use proptest::prelude::*;
 
 /// Serialise width sweeps: `set_threads` is process-wide.
@@ -67,6 +70,25 @@ fn assert_same_discovery(mined: &DiscoveryResult, baseline: &DiscoveryResult, wi
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn partition_by_attrs_parallel_is_identical(rel in arb_relation(), mask in 1u8..31) {
+        let _g = width_lock();
+        let attrs = AttrSet::from_indices(
+            (0..rel.arity()).filter(|i| mask & (1 << i) != 0),
+        );
+        evofd::pool::set_threads(1);
+        let seq = Partition::by_attrs(&rel, &attrs);
+        sweep_widths(|width| {
+            // The partition and the counting kernel that replaced it on
+            // the hot paths agree with the width-1 partition.
+            assert_eq!(Partition::by_attrs(&rel, &attrs), seq, "by_attrs at width {width}");
+            assert_eq!(count_distinct(&rel, &attrs), seq.n_classes(), "kernel at width {width}");
+        });
+        if !attrs.is_empty() {
+            prop_assert_eq!(seq.n_classes(), count_distinct_naive(&rel, &attrs));
+        }
+    }
 
     #[test]
     fn count_distinct_and_validate_identical_across_widths(rel in arb_relation()) {
